@@ -316,72 +316,3 @@ def _canonical_bits(n: int, adj: list[list[int]]) -> tuple[int, int]:
             stack.append(child)
     assert best is not None
     return best, nbits
-
-
-def are_isomorphic_oracle(g1: Graph, g2: Graph, max_nodes: int = 10) -> bool:
-    """Brute-force isomorphism test for graphs up to ``max_nodes`` nodes.
-
-    Tries vertex bijections by backtracking after a degree-sequence
-    pre-filter. Ground truth for the certificate test suite; raises on
-    inputs above the size cap.
-    """
-    if g1.n > max_nodes or g2.n > max_nodes:
-        raise ValueError(f"oracle capped at {max_nodes} nodes")
-    if g1.n != g2.n or g1.m != g2.m:
-        return False
-    n = g1.n
-    deg1 = g1.degrees()
-    deg2 = g2.degrees()
-    if sorted(deg1) != sorted(deg2):
-        return False
-    if n == 0:
-        return True
-
-    order = _bfs_order(g1)
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in range(n):
-            if used[w] or deg2[w] != deg1[v]:
-                continue
-            ok = True
-            for j in range(i):
-                u = order[j]
-                if g1.has_edge(v, u) != g2.has_edge(w, mapping[u]):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-                mapping[v] = -1
-        return False
-
-    return extend(0)
-
-
-def _bfs_order(g: Graph) -> list[int]:
-    # visiting neighbors of already-placed vertices first tightens pruning
-    n = g.n
-    seen = [False] * n
-    order: list[int] = []
-    by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    for root in by_degree:
-        if seen[root]:
-            continue
-        queue = [root]
-        seen[root] = True
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for w in sorted(g.neighbors(u), key=lambda x: (-g.degree(x), x)):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-    return order

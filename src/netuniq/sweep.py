@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from .models import ModelSpec, calibrated_radius, generate, substream_seed
 from .uniqueness import neighborhood_uniqueness
@@ -249,7 +249,7 @@ def boundary_search_fn(sample: Sampler, config: SearchConfig) -> SearchResult:
     The sampler must be (stochastically) nondecreasing in mean degree over
     the configured interval.
     """
-    z = float(norm.ppf(0.5 + config.confidence / 2.0))
+    z = float(ndtri(0.5 + config.confidence / 2.0))
     evaluations: list[PointEstimate] = []
 
     # endpoints get one batch each, to verify bracketing before recursing

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netuniq.canon import are_isomorphic_oracle, certificate, certificate_from_edges
-from netuniq.graph import Graph, relabel
+from netuniq.canon import certificate, certificate_from_edges
+from netuniq.graph import Graph
+from reference import are_isomorphic_oracle, relabel
 
 
 def all_labeled_graphs(n):
@@ -131,3 +132,95 @@ class TestLargeNeighborhoodScale:
         certs = {certificate(cycle), certificate(star), certificate(complete_block)}
         assert len(certs) == 3
         assert time.time() - start < 10.0
+
+
+def shrikhande():
+    # Cayley graph of Z4 x Z4 with connection set {±(1,0), ±(0,1), ±(1,1)}
+    steps = [(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)]
+    return [
+        (4 * a + b, 4 * ((a + x) % 4) + (b + y) % 4)
+        for a in range(4) for b in range(4) for x, y in steps
+    ]
+
+
+def rook_4x4():
+    cells = list(itertools.product(range(4), repeat=2))
+    return [
+        (4 * a + b, 4 * c + d)
+        for (a, b), (c, d) in itertools.combinations(cells, 2)
+        if a == c or b == d
+    ]
+
+
+def paley(q):
+    squares = {x * x % q for x in range(1, q)}
+    return [(i, j) for i, j in itertools.combinations(range(q), 2) if (j - i) % q in squares]
+
+
+def cfi(base_edges, twisted):
+    """Cai-Furer-Immerman graph over a base graph; ``twisted`` flips one edge."""
+    incident = {}
+    for e in base_edges:
+        for v in e:
+            incident.setdefault(v, []).append(e)
+    ids = {}
+
+    def node(key):
+        return ids.setdefault(key, len(ids))
+
+    edges = []
+    for v, es in incident.items():
+        for size in range(0, len(es) + 1, 2):
+            for subset in itertools.combinations(es, size):
+                middle = node(("m", v, subset))
+                edges += [(middle, node(("a", v, e, int(e in subset)))) for e in es]
+    for i, (u, v) in enumerate(base_edges):
+        flip = int(twisted and i == 0)
+        for bit in (0, 1):
+            edges.append((node(("a", u, (u, v), bit)), node(("a", v, (u, v), bit ^ flip))))
+    return len(ids), edges
+
+
+class TestNetworkxDifferential:
+    """Certificate equality against VF2++ on families that defeat refinement."""
+
+    @pytest.fixture
+    def nx(self):
+        return pytest.importorskip("networkx")
+
+    @staticmethod
+    def agree(nx, n1, e1, n2, e2):
+        g1, g2 = nx.Graph(), nx.Graph()
+        g1.add_nodes_from(range(n1))
+        g1.add_edges_from(e1)
+        g2.add_nodes_from(range(n2))
+        g2.add_edges_from(e2)
+        same = certificate(Graph.from_edges(n1, e1)) == certificate(Graph.from_edges(n2, e2))
+        assert same == nx.vf2pp_is_isomorphic(g1, g2)
+        return same
+
+    @staticmethod
+    def shuffled(n, edges, seed):
+        perm = np.random.default_rng(seed).permutation(n)
+        return [(int(perm[u]), int(perm[v])) for u, v in edges]
+
+    def test_shrikhande_vs_rook(self, nx):
+        assert not self.agree(nx, 16, shrikhande(), 16, rook_4x4())
+
+    @pytest.mark.parametrize("q", [13, 29, 101])
+    def test_paley_vs_relabeling(self, nx, q):
+        edges = paley(q)
+        assert self.agree(nx, q, edges, q, self.shuffled(q, edges, q))
+
+    def test_random_cubic(self, nx):
+        a = [tuple(e) for e in nx.random_regular_graph(3, 200, seed=1).edges()]
+        b = [tuple(e) for e in nx.random_regular_graph(3, 200, seed=2).edges()]
+        assert self.agree(nx, 200, a, 200, self.shuffled(200, a, 3))
+        assert not self.agree(nx, 200, a, 200, b)
+
+    def test_cfi_pair(self, nx):
+        k4 = list(itertools.combinations(range(4), 2))
+        n, plain = cfi(k4, twisted=False)
+        _, twisted = cfi(k4, twisted=True)
+        assert not self.agree(nx, n, plain, n, twisted)
+        assert self.agree(nx, n, plain, n, self.shuffled(n, plain, 4))

@@ -1,9 +1,14 @@
 """Command-line interface: artifacts, manifests, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import netuniq
 from netuniq.cli import main, _parse_grid
 from netuniq.er_theory import expected_degree_uniqueness
 
@@ -191,3 +196,14 @@ class TestUsageErrors:
             main(["--version"])
         assert err.value.code == 0
         assert "netuniq" in capsys.readouterr().out
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy.stats costs most of a CLI start; the boundary search needs only ndtri
+    src = str(Path(netuniq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, netuniq.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import norm
 
 from netuniq.models import rng_from
 from netuniq.sweep import (
@@ -191,3 +193,10 @@ class TestBoundaryFit:
     def test_nonpositive_points(self):
         with pytest.raises(ValueError):
             fit_boundary_line([(100, 5.0), (1000, 0.0), (10000, 17.0)])
+
+
+@pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.999999])
+def test_ndtri_is_the_normal_quantile(confidence):
+    # the search's z for a confidence must not move with the quantile function
+    q = 0.5 + confidence / 2.0
+    assert ndtri(q) == norm.ppf(q)
