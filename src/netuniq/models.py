@@ -2,8 +2,10 @@
 
 Three families: Erdos-Renyi (independent edges), Watts-Strogatz (ring
 lattice with rewiring), and a soft random geometric graph (points in the
-unit square, distance cutoff with exponential acceptance, radius calibrated
-to the target mean degree).
+unit square, distance cutoff with exponential acceptance). The geometric
+graph's radius solves (n - 1) P(r) = k for the exact edge probability P,
+integrated against the density of the distance between two uniform points
+in the unit square (Philip 2007), so it needs no simulation and no cache.
 
 All generators draw from numpy's PCG64 keyed by the spec seed, so an
 identical spec reproduces a byte-identical edge list. Substreams for
@@ -18,18 +20,12 @@ from dataclasses import dataclass
 from hashlib import blake2b
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.spatial import cKDTree
 
 from .graph import Graph
 
 _FAMILIES = ("er", "ws", "rgg")
-
-# internal master key for radius calibration; calibration must not consume
-# the user seed so that the radius is a pure function of (n, avg_degree)
-_CALIBRATION_KEY = 0x6E65747571
-_CALIBRATION_CLOUDS = 10
-_CALIBRATION_MAX_BISECTIONS = 20
-_RADIUS_CACHE: dict[tuple[int, float], float] = {}
 
 
 def substream_seed(master: int, *tags) -> int:
@@ -141,10 +137,11 @@ def gen_ws(spec: ModelSpec) -> Graph:
     """Ring lattice joined to K/2 neighbors per side, each edge rewired
     with probability beta to a uniform non-duplicate, non-self target.
 
-    K is the target degree rounded to the nearest even integer, at least 2.
+    K is the target degree rounded half up to an even integer, at least 2:
+    K = 2 floor(k/2 + 1/2), so every odd integer k rounds up to k + 1.
     """
     n = spec.n
-    K = max(2, 2 * round(spec.avg_degree / 2.0))
+    K = max(2, 2 * math.floor(spec.avg_degree / 2.0 + 0.5))
     if K >= n:
         raise ValueError(f"lattice degree {K} must be below n={n}")
     beta = float(spec.beta if spec.beta is not None else 0.0)
@@ -178,73 +175,82 @@ def gen_ws(spec: ModelSpec) -> Graph:
     return Graph.from_sorted_adjacency(rows, m)
 
 
-def _expected_degree_given_radius(trees, clouds, r: float, n: int) -> float:
-    """Mean degree expectation for fixed point clouds at cutoff radius r."""
+# P(r) = r^2 (_P2 + r (_P3 + r _P4)) for r <= 1 (see _edge_probability): the
+# coefficients are 2 pi I_1, -8 I_2 and 2 I_3, I_m the integral of t^m e^(-3t)
+# over [0, 1]
+_P2 = 2.0 * math.pi * (1.0 - 4.0 * math.exp(-3.0)) / 9.0
+_P3 = -16.0 * (1.0 - 8.5 * math.exp(-3.0)) / 27.0
+_P4 = 4.0 * (1.0 - 13.0 * math.exp(-3.0)) / 27.0
+
+# 16-point Gauss-Legendre rule on [0, 1] as (node, weight) pairs; exact to
+# rounding for the smooth integrands of _edge_probability
+_GAUSS = tuple(
+    (0.5 * (x + 1.0), 0.5 * w) for x, w in zip(*(a.tolist() for a in leggauss(16)))
+)
+
+
+def _edge_probability(r: float) -> float:
+    """P(r) = E[exp(-3D/r); D <= r], D the distance of two uniform points.
+
+    D has density f(d) = 2d(pi - 4d + d^2) on [0, 1] and
+    2d(4 asin(1/d) - pi - 2 + 4 sqrt(d^2 - 1) - d^2) on (1, sqrt 2]
+    (Philip 2007, "The probability distribution of the distance between two
+    random points in a box"). For r <= 1, d = r t makes P a quartic in r
+    with constant coefficients. For r > 1, the pieces on [0, 1] and on
+    (1, min(r, sqrt 2)] are summed by quadrature, the second in
+    s = sqrt(d^2 - 1), which removes the square-root kink of f at d = 1.
+    """
+    if r <= 1.0:
+        return r * r * (_P2 + r * (_P3 + r * _P4))
+    a = 3.0 / r
+    s_max = math.sqrt(min(r * r, 2.0) - 1.0)
     total = 0.0
-    for tree, pts in zip(trees, clouds):
-        pairs = tree.query_pairs(r, output_type="ndarray")
-        if len(pairs):
-            d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-            total += float(np.exp(-3.0 * d / r).sum())
-    return 2.0 * total / (n * len(clouds))
+    for x, w in _GAUSS:
+        inner = 2.0 * x * (math.pi - 4.0 * x + x * x) * math.exp(-a * x)
+        s = s_max * x
+        # f(d) dd in s; 4 asin(1/d) - pi = pi - 4 atan(s)
+        outer = 2.0 * s * (math.pi - 3.0 - 4.0 * math.atan(s) + 4.0 * s - s * s)
+        total += w * (inner + s_max * outer * math.exp(-a * math.sqrt(1.0 + s * s)))
+    return total
 
 
 def calibrated_radius(n: int, avg_degree: float) -> float:
-    """Cutoff radius whose expected realized mean degree hits the target.
+    """Cutoff radius whose expected mean degree is exactly the target.
 
-    Starts from the hard-disk estimate sqrt(k / (pi (n-1))) and bisects on
-    the exact conditional expectation over fixed internal point clouds, so
-    the result is a deterministic function of (n, avg_degree) alone.
+    Solves (n - 1) P(r) = avg_degree by bisection down to adjacent floats,
+    with P the exact edge probability of :func:`_edge_probability`, so the
+    radius is a deterministic function of (n, avg_degree) alone. P(r) < 1
+    for every finite r, so the complete-graph target avg_degree = n - 1
+    gives r = inf, at which every pair is joined.
 
     Raises:
-        ValueError: if no radius bracket reaches the target degree.
+        ValueError: if n < 2 or avg_degree lies outside (0, n - 1].
     """
-    key = (n, round(float(avg_degree), 9))
-    if key in _RADIUS_CACHE:
-        return _RADIUS_CACHE[key]
-    k = float(avg_degree)
-    clouds = [
-        rng_from(_CALIBRATION_KEY, "rgg-cal", n, round(k, 9), j).random((n, 2))
-        for j in range(_CALIBRATION_CLOUDS)
-    ]
-    trees = [cKDTree(pts) for pts in clouds]
-    tol = max(0.005 * k, 1e-9)
-
-    lo = math.sqrt(k / (math.pi * (n - 1)))
-    while _expected_degree_given_radius(trees, clouds, lo, n) > k:
-        lo *= 0.5
-        if lo < 1e-12:
-            raise ValueError("calibration failed to bracket the target degree")
-    hi = lo
-    for _ in range(80):
-        hi *= 2.0
-        if _expected_degree_given_radius(trees, clouds, hi, n) >= k:
-            break
-    else:
-        raise ValueError("calibration failed to bracket the target degree")
-
-    r = hi
-    for _ in range(_CALIBRATION_MAX_BISECTIONS):
+    if n < 2 or not 0.0 < avg_degree <= n - 1:
+        raise ValueError(f"no radius for mean degree {avg_degree} at n={n}")
+    p = avg_degree / (n - 1)
+    if p >= _edge_probability(math.inf):
+        return math.inf
+    lo, hi = 0.0, 1.0
+    # terminates: once exp(-3d/hi) rounds to 1, P(hi) is computed as P(inf)
+    while _edge_probability(hi) < p:
+        lo, hi = hi, 2.0 * hi
+    while True:
         mid = 0.5 * (lo + hi)
-        f = _expected_degree_given_radius(trees, clouds, mid, n)
-        if abs(f - k) <= tol:
-            r = mid
-            break
-        if f < k:
+        if not lo < mid < hi:
+            return hi
+        if _edge_probability(mid) < p:
             lo = mid
         else:
             hi = mid
-        r = 0.5 * (lo + hi)
-    _RADIUS_CACHE[key] = r
-    return r
 
 
 def gen_rgg(spec: ModelSpec) -> Graph:
     """Soft random geometric graph on n uniform points in the unit square.
 
-    A pair at distance d <= r is connected with probability exp(-d/(r/3)).
-    The radius is calibrated so the realized mean degree matches the target
-    within the calibration tolerance.
+    A pair at distance d <= r is connected with probability exp(-3d/r), and
+    r is :func:`calibrated_radius`, at which the expected mean degree equals
+    the target exactly.
     """
     n = spec.n
     if spec.avg_degree <= 0.0 or n < 2:

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .models import ModelSpec, calibrated_radius, generate, substream_seed
+from .models import ModelSpec, generate, substream_seed
 from .uniqueness import neighborhood_uniqueness
 
 
@@ -133,10 +133,6 @@ def _replicate_specs(
 
 def _run_specs(specs: list[ModelSpec], jobs: int) -> list[float]:
     if jobs > 1 and len(specs) > 1:
-        # calibrate in the parent so forked workers inherit the cached radius
-        for family, n, k in {(s.family, s.n, s.avg_degree) for s in specs}:
-            if family == "rgg" and k > 0:
-                calibrated_radius(n, k)
         with multiprocessing.Pool(min(jobs, len(specs))) as pool:
             return pool.map(_uniqueness_of_spec, specs)
     return [_uniqueness_of_spec(s) for s in specs]

@@ -6,6 +6,9 @@ module computes, for any graph: the occurrence frequency of each node's
 neighborhood class, the fraction of unique neighborhoods, the fraction of
 unique degrees, and the fraction of neighborhoods containing at least one
 edge (equivalently, of nodes in at least one triangle).
+
+Only :func:`neighborhood_certificates` walks the neighborhoods; the
+non-empty fraction is read from the per-node triangle counts.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .canon import certificate_from_edges
-from .graph import Graph, neighborhood_edge_sets
+from .graph import Graph, neighborhood_edge_sets, triangles_per_node
 
 
 @dataclass(frozen=True)
@@ -76,41 +79,25 @@ def degree_uniqueness(g: Graph) -> float:
 def nonempty_fraction(g: Graph) -> tuple[float, dict[int, float]]:
     """Fraction of nodes with >= 1 edge inside the neighborhood.
 
-    Also returns the per-degree breakdown over degrees present in the graph.
+    A node has an edge among its neighbors exactly when it lies in a
+    triangle, so this counts nodes with a positive triangle count. Also
+    returns the per-degree breakdown over degrees present in the graph.
     """
-    nonempty_total = 0
-    per_degree: dict[int, list[int]] = {}
-    for size, edges in neighborhood_edge_sets(g):
-        flag = 1 if edges else 0
-        nonempty_total += flag
-        bucket = per_degree.setdefault(size, [0, 0])
-        bucket[0] += flag
-        bucket[1] += 1
-    table = {k: hits / total for k, (hits, total) in sorted(per_degree.items())}
-    return nonempty_total / g.n, table
+    degrees = g.degrees()
+    totals = Counter(degrees)
+    hits = Counter(d for d, t in zip(degrees, triangles_per_node(g)) if t)
+    table = {d: hits[d] / totals[d] for d in sorted(totals)}
+    return sum(hits.values()) / g.n, table
 
 
 def uniqueness_report(g: Graph) -> UniquenessReport:
-    """Full report: one pass over neighborhoods for all metrics."""
-    occ: list[int] = []
-    certs: list[bytes] = []
-    nonempty_total = 0
-    per_degree: dict[int, list[int]] = {}
-    for size, edges in neighborhood_edge_sets(g):
-        certs.append(certificate_from_edges(size, edges))
-        flag = 1 if edges else 0
-        nonempty_total += flag
-        bucket = per_degree.setdefault(size, [0, 0])
-        bucket[0] += flag
-        bucket[1] += 1
-    sizes = Counter(certs)
-    occ = [sizes[c] for c in certs]
+    """Full report: the occurrence frequencies plus every scalar metric."""
+    occ = occurrence_frequencies(g)
+    fraction, by_degree = nonempty_fraction(g)
     return UniquenessReport(
         occurrence=occ,
         neighborhood_uniqueness=sum(1 for o in occ if o == 1) / g.n,
         degree_uniqueness=degree_uniqueness(g),
-        nonempty_fraction=nonempty_total / g.n,
-        nonempty_by_degree={
-            k: hits / total for k, (hits, total) in sorted(per_degree.items())
-        },
+        nonempty_fraction=fraction,
+        nonempty_by_degree=by_degree,
     )

@@ -2,14 +2,21 @@
 
 These are the straightforward loops the package replaced with faster code,
 kept here as ground truth: per-node neighbourhood extraction, per-node
-triangle counting, node relabeling and a brute-force isomorphism oracle.
+triangle counting, node relabeling, a brute-force isomorphism oracle, the
+Monte Carlo soft-RGG radius calibration, and the density of the distance
+between two uniform points in the unit square.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
+import numpy as np
+from scipy.spatial import cKDTree
+
 from netuniq.graph import Graph
+from netuniq.models import rng_from
 
 
 def neighborhood_edge_sets(g: Graph) -> Iterator[tuple[int, list[tuple[int, int]]]]:
@@ -132,3 +139,87 @@ def _bfs_order(g: Graph) -> list[int]:
                     seen[w] = True
                     queue.append(w)
     return order
+
+
+def square_distance_density(d: float) -> float:
+    """Density of the distance between two uniform points in the unit square.
+
+    Philip 2007, "The probability distribution of the distance between two
+    random points in a box", in its original form.
+    """
+    if d < 0.0 or d > math.sqrt(2.0):
+        return 0.0
+    if d <= 1.0:
+        return 2.0 * d * (math.pi - 4.0 * d + d * d)
+    return 2.0 * d * (
+        4.0 * math.asin(1.0 / d) - math.pi - 2.0 + 4.0 * math.sqrt(d * d - 1.0) - d * d
+    )
+
+
+# master key of the calibration clouds, apart from every user seed
+_CALIBRATION_KEY = 0x6E65747571
+_CALIBRATION_CLOUDS = 10
+_CALIBRATION_MAX_BISECTIONS = 20
+
+
+def calibration_clouds(n: int, avg_degree: float) -> list[np.ndarray]:
+    """The ten seeded point clouds of n uniform points that the estimator uses."""
+    k = round(float(avg_degree), 9)
+    return [
+        rng_from(_CALIBRATION_KEY, "rgg-cal", n, k, j).random((n, 2))
+        for j in range(_CALIBRATION_CLOUDS)
+    ]
+
+
+def cloud_degrees(trees, clouds, r: float) -> list[float]:
+    """Expected mean degree of each fixed point cloud at cutoff radius r."""
+    out = []
+    for tree, pts in zip(trees, clouds):
+        pairs = tree.query_pairs(r, output_type="ndarray")
+        total = 0.0
+        if len(pairs):
+            d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
+            total = float(np.exp(-3.0 * d / r).sum())
+        out.append(2.0 * total / len(pts))
+    return out
+
+
+def monte_carlo_radius(n: int, avg_degree: float) -> float:
+    """Radius at which the clouds' expected mean degree is within 0.5% of k.
+
+    Starts from the hard-disk estimate sqrt(k / (pi (n-1))), brackets by
+    halving and doubling, then bisects at most 20 times.
+    """
+    k = float(avg_degree)
+    clouds = calibration_clouds(n, k)
+    trees = [cKDTree(pts) for pts in clouds]
+
+    def degree(r: float) -> float:
+        return sum(cloud_degrees(trees, clouds, r)) / len(clouds)
+
+    tol = max(0.005 * k, 1e-9)
+    lo = math.sqrt(k / (math.pi * (n - 1)))
+    while degree(lo) > k:
+        lo *= 0.5
+        if lo < 1e-12:
+            raise ValueError("calibration failed to bracket the target degree")
+    hi = lo
+    for _ in range(80):
+        hi *= 2.0
+        if degree(hi) >= k:
+            break
+    else:
+        raise ValueError("calibration failed to bracket the target degree")
+
+    r = hi
+    for _ in range(_CALIBRATION_MAX_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        f = degree(mid)
+        if abs(f - k) <= tol:
+            return mid
+        if f < k:
+            lo = mid
+        else:
+            hi = mid
+        r = 0.5 * (lo + hi)
+    return r

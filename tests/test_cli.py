@@ -199,11 +199,13 @@ class TestUsageErrors:
 
 
 def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of a CLI start; the boundary search needs only ndtri
+    # scipy.stats costs most of a CLI start; the boundary search needs only
+    # ndtri, and the RGG calibration neither a root finder nor an integrator
     src = str(Path(netuniq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, netuniq.cli; print('scipy.stats' in sys.modules)"
+    heavy = ["scipy.stats", "scipy.optimize", "scipy.integrate"]
+    code = f"import sys, netuniq.cli; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

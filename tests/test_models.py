@@ -5,18 +5,27 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import integrate, stats
+from scipy.spatial import cKDTree
 
 from netuniq.canon import certificate
 from netuniq.graph import neighborhood, summary_stats
 from netuniq.models import (
     ModelSpec,
+    _edge_probability,
     _pair_index_to_edge,
     calibrated_radius,
     gen_er,
     gen_rgg,
     gen_ws,
     generate,
+)
+
+from reference import (
+    calibration_clouds,
+    cloud_degrees,
+    monte_carlo_radius,
+    square_distance_density,
 )
 
 
@@ -127,8 +136,10 @@ class TestWattsStrogatz:
         assert len(certs) == 1
 
     def test_odd_degree_rounds_to_even(self):
-        g = gen_ws(ModelSpec("ws", 20, 5.0, seed=0, beta=0.0))
-        assert set(g.degrees()) in ({4}, {6})
+        # half up: every odd integer k builds the lattice of degree k + 1
+        for k in (3, 5, 13, 15, 17):
+            g = gen_ws(ModelSpec("ws", 30, float(k), seed=0, beta=0.0))
+            assert set(g.degrees()) == {k + 1}, k
 
     def test_lattice_degree_cap(self):
         with pytest.raises(ValueError):
@@ -181,6 +192,84 @@ class TestRandomGeometric:
         r2 = calibrated_radius(500, 7.0)
         assert r1 == r2
         assert r1 > math.sqrt(7.0 / (math.pi * 499))
+
+    def test_density_integrates_to_one(self):
+        a, _ = integrate.quad(square_distance_density, 0.0, 1.0, epsabs=1e-14)
+        b, _ = integrate.quad(square_distance_density, 1.0, math.sqrt(2.0), epsabs=1e-14)
+        assert a + b == pytest.approx(1.0, abs=1e-12)
+
+    def test_density_matches_sampled_distances(self):
+        rng = np.random.default_rng(2007)
+        d = np.linalg.norm(rng.random((20000, 2)) - rng.random((20000, 2)), axis=1)
+        edges = np.concatenate([np.linspace(0.0, 1.0, 21), np.linspace(1.05, math.sqrt(2.0), 8)])
+        expected = [
+            integrate.quad(square_distance_density, a, b)[0] * len(d)
+            for a, b in zip(edges[:-1], edges[1:])
+        ]
+        observed, _ = np.histogram(d, bins=edges)
+        assert sum(expected) == pytest.approx(len(d), rel=1e-9)
+        assert stats.chisquare(observed, expected).pvalue > 0.01
+
+    @pytest.mark.parametrize("r", [0.05, 0.3, 0.9, 1.0, 1.1, 1.3, 1.5, 5.78, 40.0])
+    def test_edge_probability_matches_quadrature(self, r):
+        def integrand(d):
+            return math.exp(-3.0 * d / r) * square_distance_density(d)
+
+        top = min(r, math.sqrt(2.0))
+        expected = integrate.quad(integrand, 0.0, min(top, 1.0), epsabs=1e-15)[0]
+        if top > 1.0:
+            expected += integrate.quad(integrand, 1.0, top, epsabs=1e-15)[0]
+        assert _edge_probability(r) == pytest.approx(expected, rel=1e-10)
+
+    def test_edge_probability_continuous_and_nondecreasing(self):
+        assert _edge_probability(1.0 + 1e-12) - _edge_probability(1.0) == pytest.approx(
+            0.0, abs=1e-11
+        )
+        assert _edge_probability(1.0) - _edge_probability(1.0 - 1e-12) == pytest.approx(
+            0.0, abs=1e-11
+        )
+        rs = np.concatenate([np.geomspace(1e-4, 1e4, 4001), 1.0 + np.linspace(-1e-6, 1e-6, 201)])
+        p = np.array([_edge_probability(float(r)) for r in np.sort(rs)])
+        assert np.all(np.diff(p) >= 0.0)
+
+    def test_edge_probability_tends_to_one(self):
+        # P(r) = 1 - 3 E[D] / r + O(1/r^2) for large r
+        mean_distance = (2.0 + math.sqrt(2.0) + 5.0 * math.asinh(1.0)) / 15.0
+        assert _edge_probability(1e3) == pytest.approx(1.0 - 3.0 * mean_distance / 1e3, abs=1e-5)
+        assert _edge_probability(1e9) == pytest.approx(1.0, abs=1e-8)
+        assert _edge_probability(math.inf) == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "n,k", [(150, 2.0), (200, 7.0), (500, 7.0), (2000, 10.0), (10000, 30.0), (40, 30.0)]
+    )
+    def test_radius_inverts_edge_probability(self, n, k):
+        r = calibrated_radius(n, k)
+        assert (n - 1) * _edge_probability(r) == pytest.approx(k, rel=1e-9)
+
+    def test_radius_beyond_unit_distance(self):
+        # a target edge probability above P(1) = 0.2695 needs r > 1
+        r = calibrated_radius(40, 30.0)
+        assert r == pytest.approx(5.78, abs=0.01)
+        realized = [2 * gen_rgg(ModelSpec("rgg", 40, 30.0, seed=s)).m / 40 for s in range(40)]
+        assert abs(np.mean(realized) - 30.0) <= 0.5
+
+    def test_complete_target_joins_every_pair(self):
+        assert calibrated_radius(40, 39.0) == math.inf
+        assert gen_rgg(ModelSpec("rgg", 40, 39.0, seed=3)).m == 40 * 39 // 2
+
+    @pytest.mark.parametrize("n,k", [(200, 7.0), (2000, 10.0)])
+    def test_radius_agrees_with_monte_carlo(self, n, k):
+        r = calibrated_radius(n, k)
+        r_mc = monte_carlo_radius(n, k)
+        clouds = calibration_clouds(n, k)
+        trees = [cKDTree(c) for c in clouds]
+        degrees = cloud_degrees(trees, clouds, r_mc)
+        sem = float(np.std(degrees, ddof=1)) / math.sqrt(len(degrees))
+        # the clouds' sampling error and the estimator's 0.5% stopping band,
+        # read as a radius error through d log P / d log r >= 1
+        assert abs(r / r_mc - 1.0) <= (4.0 * sem + 0.005 * k) / k
+        # at r itself the clouds' mean degree estimates (n - 1) P(r) = k
+        assert abs(np.mean(cloud_degrees(trees, clouds, r)) - k) <= 4.0 * sem
 
     def test_local_clustering_stays_high(self):
         vals = [

@@ -15,7 +15,7 @@ from netuniq.uniqueness import (
     occurrence_frequencies,
     uniqueness_report,
 )
-from reference import are_isomorphic_oracle, relabel
+from reference import are_isomorphic_oracle, neighborhood_edge_sets, relabel
 
 
 def random_graph(n, p, seed):
@@ -99,6 +99,25 @@ class TestNonemptyFraction:
     def test_complete_is_one(self):
         frac, _ = nonempty_fraction(complete(4))
         assert frac == 1.0
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ModelSpec("er", 400, 12.0, seed=3),
+            ModelSpec("er", 300, 1.0, seed=4),
+            ModelSpec("ws", 200, 6.0, seed=3, beta=0.3),
+            ModelSpec("rgg", 300, 8.0, seed=3),
+        ],
+    )
+    def test_counts_neighborhoods_with_an_edge(self, spec):
+        # the triangle counts flag exactly the neighborhoods holding an edge
+        g = generate(spec)
+        per_degree = {}
+        for size, edges in neighborhood_edge_sets(g):
+            per_degree.setdefault(size, []).append(bool(edges))
+        table = {k: sum(v) / len(v) for k, v in sorted(per_degree.items())}
+        frac = sum(sum(v) for v in per_degree.values()) / g.n
+        assert nonempty_fraction(g) == (frac, table)
 
 
 class TestInvariants:
