@@ -15,11 +15,21 @@ Discovered automorphisms prune redundant branches. Worst-case cost is
 exponential in the node count; sparse or dense neighborhoods hitting the
 reductions are linear to low-polynomial, which covers the workloads this
 package generates (node neighborhoods up to about a thousand nodes).
+
+Isolated nodes are counted, not explored: each is a one-node part of the
+union, and a connected graph is never relabeled. Refinement starts from
+the degree cells, stops once the partition is discrete or a pass splits
+nothing, and orders sub-cells by their neighbor-count signature, so it is
+isomorphism-invariant. The one cache is a bounded ``functools.lru_cache``
+over the certificates of components of at most ``_COMPONENT_CACHE_NODES``
+nodes, keyed by exact relabeled edge tuples, so a hit is trivially sound.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
+from itertools import groupby
 from typing import Sequence
 
 from .graph import Graph
@@ -32,12 +42,8 @@ _TAG_UNION = 4
 _TAG_COMPLEMENT = 5
 _TAG_GENERAL = 6
 
-_MEMO: dict[tuple, bytes] = {}
-_MEMO_CAP = 1 << 18
-# labeled-graph cache for small connected components (the bulk of sparse
-# neighborhoods); keys are exact edge tuples, so hits are trivially sound
-_COMPONENT_CACHE: dict[tuple, bytes] = {}
 _COMPONENT_CACHE_NODES = 10
+_COMPONENT_CACHE_SIZE = 1 << 12
 _MAX_AUT_GENS = 64
 
 
@@ -48,24 +54,20 @@ def certificate(g: Graph) -> bytes:
 
 def certificate_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
     """Certificate of the graph on nodes ``0..n-1`` with the given edges."""
-    ordered = tuple(sorted(edges))
-    if len(ordered) > 2048:  # keep memo keys small
-        return _certify(n, ordered)
-    key = (n, ordered)
-    cached = _MEMO.get(key)
-    if cached is not None:
-        return cached
-    cert = _certify(n, ordered)
-    if len(_MEMO) < _MEMO_CAP:
-        _MEMO[key] = cert
-    return cert
+    return _certify(n, sorted(edges))
 
 
 def _wrap(payload: bytes) -> bytes:
     return struct.pack(">I", len(payload)) + payload
 
 
-def _certify(n: int, edges: tuple[tuple[int, int], ...]) -> bytes:
+# every isolated node is this one-node part of a union; it sorts before any
+# other part, whose payload is longer or carries a larger tag
+_ISOLATED_NODE = _wrap(struct.pack(">BI", _TAG_EDGELESS, 1))
+
+
+def _certify(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
+    """Certificate of a graph whose edges (u, v), u < v, are sorted."""
     m = len(edges)
     if m == 0:
         return _wrap(struct.pack(">BI", _TAG_EDGELESS, n))
@@ -74,20 +76,25 @@ def _certify(n: int, edges: tuple[tuple[int, int], ...]) -> bytes:
     for u, v in edges:
         adj[u].append(v)
         adj[v].append(u)
-    maxdeg = max(len(a) for a in adj)
+    maxdeg = max(map(len, adj))
     if maxdeg <= 1:
         return _wrap(struct.pack(">BII", _TAG_MATCHING, n, m))
 
-    npairs = n * (n - 1) // 2
-    if 2 * m > npairs:
+    if 2 * m > n * (n - 1) // 2:
         comp_edges = _complement_edges(n, adj)
         return _wrap(struct.pack(">B", _TAG_COMPLEMENT) + _certify(n, comp_edges))
 
-    comps = _components(n, adj)
-    if len(comps) > 1:
-        parts = sorted(_certify_component(size, sub) for size, sub in comps)
+    comps = _components(adj, edges)
+    if comps is not None:
+        isolated = n - sum(size for size, _ in comps)
+        parts = sorted([
+            (_certify_component if size <= _COMPONENT_CACHE_NODES else _certify)(size, sub)
+            for size, sub in comps
+        ])
         return _wrap(
-            struct.pack(">BI", _TAG_UNION, len(parts)) + b"".join(parts)
+            struct.pack(">BI", _TAG_UNION, isolated + len(parts))
+            + _ISOLATED_NODE * isolated
+            + b"".join(parts)
         )
 
     # connected from here on
@@ -95,109 +102,102 @@ def _certify(n: int, edges: tuple[tuple[int, int], ...]) -> bytes:
         tag = _TAG_PATH if any(len(a) == 1 for a in adj) else _TAG_CYCLE
         return _wrap(struct.pack(">BI", tag, n))
 
-    bits, nbits = _canonical_bits(n, adj)
-    payload = struct.pack(">BI", _TAG_GENERAL, n) + bits.to_bytes(
-        (nbits + 7) // 8, "big"
-    )
-    return _wrap(payload)
+    bits, nbits = _canonical_bits(n, adj, edges)
+    return _wrap(struct.pack(">BI", _TAG_GENERAL, n) + bits.to_bytes((nbits + 7) // 8, "big"))
 
 
-def _certify_component(size: int, sub_edges: tuple[tuple[int, int], ...]) -> bytes:
-    if size > _COMPONENT_CACHE_NODES:
-        return _certify(size, sub_edges)
-    key = (size, sub_edges)
-    cached = _COMPONENT_CACHE.get(key)
-    if cached is None:
-        cached = _certify(size, sub_edges)
-        if len(_COMPONENT_CACHE) < _MEMO_CAP:
-            _COMPONENT_CACHE[key] = cached
-    return cached
+# small components are the bulk of sparse neighborhoods; keys are edge tuples
+_certify_component = lru_cache(maxsize=_COMPONENT_CACHE_SIZE)(_certify)
 
 
 def _complement_edges(n: int, adj: list[list[int]]) -> tuple[tuple[int, int], ...]:
-    out = []
     adj_sets = [set(a) for a in adj]
-    for u in range(n):
-        su = adj_sets[u]
-        for v in range(u + 1, n):
-            if v not in su:
-                out.append((u, v))
-    return tuple(out)
+    return tuple((u, v) for u in range(n) for v in range(u + 1, n) if v not in adj_sets[u])
 
 
 def _components(
-    n: int, adj: list[list[int]]
-) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """Connected components as (size, relabeled sorted edges)."""
-    pos = [-1] * n
-    seen = [False] * n
-    comps = []
-    for start in range(n):
-        if seen[start]:
+    adj: list[list[int]], edges: Sequence[tuple[int, int]]
+) -> list[tuple[int, tuple[tuple[int, int], ...]]] | None:
+    """None for a connected graph; else (size, relabeled sorted edges) of each
+    component with an edge. Only edge endpoints are explored, and they are
+    relabeled in increasing order, so each component's edges stay sorted."""
+    n = len(adj)
+    comp = [-1] * n
+    seen: list[int] = []
+    ncomp = 0
+    for start, _ in edges:
+        if comp[start] >= 0:
             continue
-        stack = [start]
-        seen[start] = True
+        comp[start] = ncomp
         verts = [start]
-        while stack:
-            u = stack.pop()
+        for u in verts:
             for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
+                if comp[w] < 0:
+                    comp[w] = ncomp
                     verts.append(w)
-                    stack.append(w)
-        verts.sort()
-        for i, v in enumerate(verts):
-            pos[v] = i
-        sub_edges = []
-        for v in verts:
-            pv = pos[v]
-            for w in adj[v]:
-                pw = pos[w]
-                if pw > pv:
-                    sub_edges.append((pv, pw))
-        sub_edges.sort()
-        comps.append((len(verts), tuple(sub_edges)))
-    return comps
+        seen += verts
+        ncomp += 1
+    if ncomp == 1 and len(seen) == n:
+        return None
+    seen.sort()
+    size = [0] * ncomp
+    pos = [0] * n
+    for v in seen:
+        c = comp[v]
+        pos[v] = size[c]
+        size[c] += 1
+    subs: list[list[tuple[int, int]]] = [[] for _ in range(ncomp)]
+    for u, v in edges:
+        subs[comp[u]].append((pos[u], pos[v]))
+    return [(k, tuple(sub)) for k, sub in zip(size, subs)]
+
+
+def _count_signature(neighbor_cells: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(cell, neighbor count) pairs of a sorted tuple of neighbor cells."""
+    counts: dict[int, int] = {}
+    for c in neighbor_cells:
+        counts[c] = counts.get(c, 0) + 1
+    return tuple(counts.items())
 
 
 def _refine(adj: list[list[int]], cells: list[list[int]]) -> list[list[int]]:
     """Coarsest equitable refinement; cell order is isomorphism-invariant.
 
     Cells split in place, sub-cells ordered by their neighbor-count
-    signature, so positions of already-discrete cells never change.
+    signature, so positions of already-discrete cells never change. Nodes
+    are grouped by the sorted cells of their neighbors, equal exactly when
+    the signatures are.
     """
     n = len(adj)
     vcell = [0] * n
-    while True:
+    cell_of = vcell.__getitem__
+    while len(cells) < n:
         for ci, cell in enumerate(cells):
             for v in cell:
                 vcell[v] = ci
         new_cells: list[list[int]] = []
-        changed = False
         for cell in cells:
             if len(cell) == 1:
                 new_cells.append(cell)
                 continue
-            groups: dict[tuple, list[int]] = {}
+            groups: dict[tuple[int, ...], list[int]] = {}
             for v in cell:
-                counts: dict[int, int] = {}
-                for u in adj[v]:
-                    c = vcell[u]
-                    counts[c] = counts.get(c, 0) + 1
-                sig = tuple(sorted(counts.items()))
-                groups.setdefault(sig, []).append(v)
+                key = tuple(sorted(map(cell_of, adj[v])))
+                groups.setdefault(key, []).append(v)
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
-                changed = True
-                for sig in sorted(groups):
-                    new_cells.append(groups[sig])
+                for key in sorted(groups, key=_count_signature):
+                    new_cells.append(groups[key])
+        if len(new_cells) == len(cells):
+            break
         cells = new_cells
-        if not changed:
-            return cells
+    return cells
 
 
-def _canonical_bits(n: int, adj: list[list[int]]) -> tuple[int, int]:
+def _canonical_bits(
+    n: int, adj: list[list[int]], edges: Sequence[tuple[int, int]]
+) -> tuple[int, int]:
     """Minimal adjacency bitstring over the individualization-refinement tree.
 
     Bit order is column-major over the strict upper triangle, so a discrete
@@ -207,28 +207,22 @@ def _canonical_bits(n: int, adj: list[list[int]]) -> tuple[int, int]:
     individualized prefix pointwise are applied).
     """
     nbits = n * (n - 1) // 2
-    adj_sets = [set(a) for a in adj]
+    tri = [j * (j - 1) // 2 for j in range(n)]
     best: int | None = None
     best_order: list[int] | None = None
     gens: list[tuple[int, ...]] = []
     gen_seen: set[tuple[int, ...]] = set()
 
-    def twins(u: int, v: int) -> bool:
-        # swapping twins is an automorphism, so twin siblings are redundant
-        return adj_sets[u] - {v} == adj_sets[v] - {u}
-
     def leaf_value(order: list[int]) -> int:
+        # pair (i, j), i < j, is the character tri[j] + i from the left
         pos = [0] * n
         for i, v in enumerate(order):
             pos[v] = i
-        val = 0
-        for v in range(n):
-            i = pos[v]
-            for w in adj[v]:
-                j = pos[w]
-                if j > i:
-                    val |= 1 << (nbits - 1 - (j * (j - 1) // 2 + i))
-        return val
+        bits = bytearray(b"0") * nbits
+        for u, v in edges:
+            i, j = pos[u], pos[v]
+            bits[tri[j] + i if i < j else tri[i] + j] = 49  # ord("1")
+        return int(bits, 2)
 
     def prefix_value(prefix: list[int]) -> tuple[int, int]:
         pbits = len(prefix) * (len(prefix) - 1) // 2
@@ -238,8 +232,15 @@ def _canonical_bits(n: int, adj: list[list[int]]) -> tuple[int, int]:
             for w in adj[v]:
                 j = pos.get(w)
                 if j is not None and j > i:
-                    val |= 1 << (pbits - 1 - (j * (j - 1) // 2 + i))
+                    val |= 1 << (pbits - 1 - (tri[j] + i))
         return val, pbits
+
+    def redundant(v: int, explored: list[int], fixed: list[int]) -> bool:
+        # an explored twin (swapping twins is an automorphism) or orbit mate covers v
+        return bool(explored) and (
+            any(adj_sets[v] - {e} == adj_sets[e] - {v} for e in explored)
+            or in_orbit(v, explored, fixed)
+        )
 
     def in_orbit(v: int, explored: list[int], fixed: list[int]) -> bool:
         valid = [s for s in gens if all(s[p] == p for p in fixed)]
@@ -266,21 +267,15 @@ def _canonical_bits(n: int, adj: list[list[int]]) -> tuple[int, int]:
             best = val
             best_order = order
         elif val == best and best_order is not None:
-            sigma = [0] * n
-            for i in range(n):
-                sigma[best_order[i]] = order[i]
-            tup = tuple(sigma)
+            sigma = dict(zip(best_order, order))
+            tup = tuple(map(sigma.__getitem__, range(n)))
             if tup not in gen_seen and len(gens) < _MAX_AUT_GENS:
                 gen_seen.add(tup)
                 gens.append(tup)
 
     def open_node(cells: list[list[int]], fixed: list[int]):
         """Leaf or pruned -> None; otherwise a search frame to explore."""
-        target = -1
-        for idx, cell in enumerate(cells):
-            if len(cell) > 1:
-                target = idx
-                break
+        target = next((i for i, cell in enumerate(cells) if len(cell) > 1), -1)
         if target < 0:
             handle_leaf(cells)
             return None
@@ -288,23 +283,18 @@ def _canonical_bits(n: int, adj: list[list[int]]) -> tuple[int, int]:
             pval, pbits = prefix_value([cells[i][0] for i in range(target)])
             if pval > best >> (nbits - pbits):
                 return None
-        return [cells, fixed, target, list(cells[target]), []]  # frame
+        return [cells, fixed, target, iter(cells[target]), []]  # frame
 
     # explicit stack: individualization chains can be as deep as the graph
-    root = open_node(_refine(adj, [list(range(n))]), [])
+    degree = list(map(len, adj)).__getitem__
+    by_degree = groupby(sorted(range(n), key=degree), degree)
+    root = open_node(_refine(adj, [list(run) for _, run in by_degree]), [])
     stack = [root] if root is not None else []
+    # only a search with siblings compares neighborhoods
+    adj_sets = [set(a) for a in adj] if stack else []
     while stack:
         cells, fixed, target, candidates, explored = stack[-1]
-        v = None
-        while candidates:
-            cand = candidates.pop(0)
-            if explored and (
-                any(twins(cand, e) for e in explored)
-                or in_orbit(cand, explored, fixed)
-            ):
-                continue
-            v = cand
-            break
+        v = next((c for c in candidates if not redundant(c, explored, fixed)), None)
         if v is None:
             stack.pop()
             continue

@@ -37,12 +37,13 @@ class Graph:
     extraction. Instances are safe to share across threads once built.
     """
 
-    __slots__ = ("_adj", "_m", "labels")
+    __slots__ = ("_adj", "_m", "labels", "_tri")
 
     def __init__(self, adj: list[list[int]], m: int, labels: list[str] | None = None):
         self._adj = adj
         self._m = m
         self.labels = labels
+        self._tri: tuple[np.ndarray, ...] | None = None
 
     @classmethod
     def from_edges(
@@ -214,8 +215,12 @@ def _triangles(g: Graph) -> tuple[np.ndarray, ...]:
 
     Returns ``(deg, indptr, indices, rows, P, Q, H)``: the degrees, the CSR
     row pointers, column indices and row of each entry, and, per triangle,
-    the CSR positions of its entries (a, b), (a, c) and (b, c).
+    the CSR positions of its entries (a, b), (a, c) and (b, c). They are made
+    once per graph and kept on it, read-only (racing first calls make equal
+    arrays), so triangle counts and the neighborhood stream share them.
     """
+    if g._tri is not None:
+        return g._tri
     adj = g._adj
     n = len(adj)
     deg = np.fromiter(map(len, adj), np.int64, n)
@@ -256,7 +261,11 @@ def _triangles(g: Graph) -> tuple[np.ndarray, ...]:
         P, Q, H = (np.concatenate(parts) for parts in zip(*found))
     else:
         P = Q = H = np.zeros(0, np.int64)
-    return deg, indptr, indices, rows, P, Q, H
+    listing = (deg, indptr, indices, rows, P, Q, H)
+    for arr in listing:
+        arr.flags.writeable = False
+    g._tri = listing
+    return listing
 
 
 def neighborhood_edge_sets(g: Graph) -> Iterator[tuple[int, list[tuple[int, int]]]]:

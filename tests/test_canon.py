@@ -1,6 +1,8 @@
 """Certificate exactness against the brute-force isomorphism oracle."""
 
+import hashlib
 import itertools
+import struct
 import time
 
 import numpy as np
@@ -8,8 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netuniq import canon
 from netuniq.canon import certificate, certificate_from_edges
 from netuniq.graph import Graph
+from netuniq.uniqueness import neighborhood_certificates
 from reference import are_isomorphic_oracle, relabel
 
 
@@ -224,3 +228,167 @@ class TestNetworkxDifferential:
         _, twisted = cfi(k4, twisted=True)
         assert not self.agree(nx, n, plain, n, twisted)
         assert self.agree(nx, n, plain, n, self.shuffled(n, plain, 4))
+
+
+def sparse_graph(n, rng):
+    """ER-shaped: mean degree 0.2-1.6, so many isolated nodes and small trees."""
+    p = rng.uniform(0.2, 1.6) / max(n - 1, 1)
+    return random_graph(n, p, rng)
+
+
+def random_forest(n, trees, rng):
+    """Random forest of ``trees`` trees (``n - trees`` edges), labels shuffled."""
+    perm = rng.permutation(n)
+    edges = [(int(perm[v]), int(perm[rng.integers(0, v)])) for v in range(trees, n)]
+    return Graph.from_edges(n, edges)
+
+
+def swapped(g, rng, swaps=3):
+    """Same degree sequence: a few double edge swaps (a-b, c-d to a-d, c-b)."""
+    edges = set(g.edges())
+    for _ in range(swaps * 10):
+        if swaps == 0 or len(edges) < 2:
+            break
+        listed = sorted(edges)
+        (a, b), (c, d) = (listed[i] for i in rng.choice(len(listed), 2, replace=False))
+        new = {tuple(sorted(e)) for e in ((a, d), (c, b))}
+        if len({a, b, c, d}) == 4 and not new & edges:
+            edges -= {(a, b), (c, d)}
+            edges |= new
+            swaps -= 1
+    return Graph.from_edges(g.n, sorted(edges))
+
+
+class TestSparseGraphs:
+    """Isolated nodes, forests and small components: the ER neighbourhood shape."""
+
+    def test_pairs_match_oracle(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            n = int(rng.integers(2, 11))
+            g1 = sparse_graph(n, rng)
+            g2 = swapped(g1, rng) if rng.random() < 0.5 else sparse_graph(n, rng)
+            assert are_isomorphic_oracle(g1, g2) == (certificate(g1) == certificate(g2))
+
+    def test_forests_match_oracle(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            n = int(rng.integers(2, 11))
+            trees = int(rng.integers(1, n + 1))
+            g1, g2 = random_forest(n, trees, rng), random_forest(n, trees, rng)
+            assert are_isomorphic_oracle(g1, g2) == (certificate(g1) == certificate(g2))
+
+    def test_isolated_nodes_are_one_node_parts(self):
+        # a union of two isolated nodes and a path: one part per component,
+        # the one-node parts first
+        path = [(0, 1), (1, 2)]
+        body = (
+            struct.pack(">BI", canon._TAG_UNION, 3)
+            + certificate_from_edges(1, []) * 2
+            + certificate_from_edges(3, path)
+        )
+        expected = struct.pack(">I", len(body)) + body
+        assert certificate_from_edges(5, path) == expected
+        assert certificate_from_edges(5, [(2, 4), (3, 4)]) == expected
+
+    def test_networkx_differential(self):
+        nx = pytest.importorskip("networkx")
+        rng = np.random.default_rng(31)
+
+        def agree(g1, g2):
+            h1, h2 = nx.Graph(), nx.Graph()
+            for h, g in ((h1, g1), (h2, g2)):
+                h.add_nodes_from(range(g.n))
+                h.add_edges_from(g.edges())
+            same = certificate(g1) == certificate(g2)
+            assert same == nx.vf2pp_is_isomorphic(h1, h2)
+            return same
+
+        outcomes = set()
+        for _ in range(120):
+            n = int(rng.integers(20, 61))
+            if rng.random() < 0.5:
+                g = sparse_graph(n, rng)
+            else:
+                g = random_forest(n, int(rng.integers(1, n // 2)), rng)
+            assert agree(g, relabel(g, list(rng.permutation(n))))
+            outcomes.add(agree(g, swapped(g, rng, swaps=int(rng.integers(1, 4)))))
+        assert outcomes == {True, False}
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=40),
+    pairs=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=40),
+    perm_seed=st.integers(min_value=0, max_value=2**31),
+)
+def test_sparse_certificate_invariant_under_relabeling(n, pairs, perm_seed):
+    g = Graph.from_edges(n, [(u % n, v % n) for u, v in pairs])
+    perm = list(np.random.default_rng(perm_seed).permutation(n))
+    assert certificate(relabel(g, perm)) == certificate(g)
+
+
+def seeded_er():
+    # ER shape: each neighbourhood has many isolated nodes and small trees
+    rng = np.random.default_rng(101)
+    n = 1500
+    return Graph.from_edges(n, rng.integers(0, n, size=(15 * n, 2)).tolist())
+
+
+def seeded_geometric():
+    # points in the unit square joined within a radius: clustered neighbourhoods
+    rng = np.random.default_rng(102)
+    pts = rng.random((400, 2))
+    close = np.hypot(*(pts[:, None, :] - pts[None, :, :]).transpose(2, 0, 1)) < 0.1
+    i, j = np.nonzero(np.triu(close, 1))
+    return Graph.from_edges(400, zip(i.tolist(), j.tolist()))
+
+
+def seeded_ring():
+    # ring lattice of degree 8 with about a third of its edges rewired
+    rng = np.random.default_rng(103)
+    n = 300
+    ring = [(v, (v + s) % n) for v in range(n) for s in range(1, 5)]
+    rewired = rng.random(len(ring)) < 0.3
+    targets = rng.integers(0, n, size=len(ring)).tolist()
+    return Graph.from_edges(
+        n, [(u, t) if r else (u, v) for (u, v), r, t in zip(ring, rewired, targets)]
+    )
+
+
+@pytest.mark.parametrize(
+    "build,digest",
+    [
+        (seeded_er, "8515d22d029ea5b208f86ec762219e1e16c68eb8d7e4d22f7a3a88201f4dd3e1"),
+        (seeded_geometric, "1da5b141c31593d9fc443cfdeaad83d2d0e52bcb99e21423b45a649e71ee2ec1"),
+        (seeded_ring, "94faa22fe09d17dbf783c2f0f15ca25ffce10744d5e635f01ecffe36ca38bbba"),
+    ],
+    ids=["er", "geometric", "ring"],
+)
+def test_neighborhood_certificate_bytes_pinned(build, digest):
+    # the encoding is a contract: any change to the bytes of any part shows here
+    certs = neighborhood_certificates(build())
+    assert hashlib.sha256(b"".join(certs)).hexdigest() == digest
+
+
+def test_module_state_stays_bounded():
+    cache = canon._certify_component
+    cache.cache_clear()
+    for seed in range(3):
+        # mean degree about 54: neighbourhoods of small trees in many shapes
+        rng = np.random.default_rng(seed)
+        n = 3000
+        neighborhood_certificates(
+            Graph.from_edges(n, rng.integers(0, n, size=(27 * n, 2)).tolist())
+        )
+    # no mutable container survives at module level (dunder names are the
+    # module's own machinery, such as the builtins dict)
+    state = {
+        name: type(value).__name__
+        for name, value in vars(canon).items()
+        if not name.startswith("__") and isinstance(value, (dict, set, list))
+    }
+    assert state == {}
+    info = cache.cache_info()
+    assert info.misses > info.maxsize  # more distinct components than slots
+    assert info.currsize <= info.maxsize

@@ -229,6 +229,15 @@ class TestTriangleKernel:
         )
         assert_matches_reference(g)
 
+    def test_listing_made_once_per_graph(self):
+        g = generate(ModelSpec("rgg", 300, 15, 4))
+        listing = graph_module._triangles(g)
+        triangle_count(g)
+        summary_stats(g)
+        list(neighborhood_edge_sets(g))
+        assert graph_module._triangles(g) is listing
+        assert not any(arr.flags.writeable for arr in listing)
+
     def test_stream_is_an_iterator(self):
         stream = neighborhood_edge_sets(load_edge_list(TRIANGLE))
         assert isinstance(stream, Iterator)
