@@ -3,11 +3,12 @@
 Graphs are simple (no self-loops, no parallel edges), undirected and
 unlabeled. Nodes are dense integer indices ``0..n-1``; arbitrary string
 tokens from edge-list files are remapped at ingestion and the original
-tokens kept on the side for reporting.
+tokens kept on the side for reporting. A graph is stored once, as
+read-only CSR arrays built by the one validating :meth:`Graph.from_edges`.
 
 Neighborhood extraction and triangle counts share one numpy kernel. The
 edges inside a node's neighborhood are exactly the triangles through it,
-so both list every triangle once from CSR arrays by forward orientation
+so both list every triangle once from the CSR arrays by forward orientation
 (Schank & Wagner 2005, "Finding, counting and listing all triangles in
 large graphs") instead of walking N(u) for every u in N(v), which costs
 O(n·k²) Python steps.
@@ -16,9 +17,7 @@ O(n·k²) Python steps.
 from __future__ import annotations
 
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -30,18 +29,25 @@ _WEDGE_BLOCK = 1 << 16
 
 
 class Graph:
-    """Immutable simple undirected graph with per-node sorted neighbor lists.
+    """Immutable simple undirected graph stored as read-only CSR arrays.
 
-    Construct via :meth:`from_edges` (validating) or the trusted
-    :meth:`from_sorted_adjacency` used by generators and neighborhood
-    extraction. Instances are safe to share across threads once built.
+    ``indptr`` holds n + 1 row pointers and ``indices`` the 2m column
+    indices, both int64: the neighbors of v are
+    ``indices[indptr[v]:indptr[v + 1]]`` in increasing order, and every edge
+    appears in the rows of both its ends. Build one with :meth:`from_edges`,
+    which validates its input; the arrays are made read-only, so instances
+    are safe to share across threads.
     """
 
-    __slots__ = ("_adj", "_m", "labels", "_tri")
+    __slots__ = ("indptr", "indices", "labels", "_tri")
 
-    def __init__(self, adj: list[list[int]], m: int, labels: list[str] | None = None):
-        self._adj = adj
-        self._m = m
+    def __init__(
+        self, indptr: np.ndarray, indices: np.ndarray, labels: list[str] | None = None
+    ):
+        indptr.flags.writeable = False
+        indices.flags.writeable = False
+        self.indptr = indptr
+        self.indices = indices
         self.labels = labels
         self._tri: tuple[np.ndarray, ...] | None = None
 
@@ -49,56 +55,69 @@ class Graph:
     def from_edges(
         cls,
         n: int,
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
         labels: list[str] | None = None,
     ) -> "Graph":
-        """Build a graph on ``n`` nodes, dropping self-loops and duplicates."""
-        adj: list[set[int]] = [set() for _ in range(n)]
-        m = 0
-        for u, v in edges:
-            if u == v:
-                continue
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if v not in adj[u]:
-                adj[u].add(v)
-                adj[v].add(u)
-                m += 1
-        return cls([sorted(s) for s in adj], m, labels)
+        """Build a graph on ``n`` nodes from pairs, dropping self-loops and duplicates.
 
-    @classmethod
-    def from_sorted_adjacency(cls, adj: list[list[int]], m: int) -> "Graph":
-        """Trusted constructor: caller guarantees sorted, symmetric, simple."""
-        return cls(adj, m)
+        ``edges`` is an iterable of pairs or an (m, 2) integer array; (u, v)
+        and (v, u) are the same edge.
+
+        Raises:
+            ValueError: if ``edges`` does not hold integer pairs, or a pair,
+                self-loops included, lies outside 0..n-1.
+        """
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if pairs.size == 0:
+            pairs = np.zeros((0, 2), np.int64)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise ValueError("edges must be integer pairs (u, v)")
+        pairs = pairs.astype(np.int64, copy=False)
+        # a negative end reads as a huge unsigned value
+        if len(pairs) and pairs.view(np.uint64).max() >= n:
+            u, v = pairs[((pairs < 0) | (pairs >= n)).any(axis=1)][0].tolist()
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        # (u*n + v, v*n + u): a key per direction, equal only for a self-loop;
+        # sorted, the keys of row r are r*n plus its neighbors
+        keys = pairs @ np.array([[n, 1], [1, n]])
+        keys = keys[keys[:, 0] != keys[:, 1]].ravel()
+        keys.sort()
+        first = np.ones(len(keys), bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+        return cls(keys.searchsorted(np.arange(n + 1) * n), keys % n, labels)
 
     @property
     def n(self) -> int:
-        return len(self._adj)
+        return len(self.indptr) - 1
 
     @property
     def m(self) -> int:
-        return self._m
+        return len(self.indices) // 2
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self._adj]
+        return np.diff(self.indptr).tolist()
 
     def neighbors(self, v: int) -> list[int]:
-        return self._adj[v]
+        return self.indices[self.indptr[v] : self.indptr[v + 1]].tolist()
 
     def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self._adj[u]
-        i = bisect_left(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
+        lo, hi = self.indptr[u], self.indptr[u + 1]
+        i = lo + np.searchsorted(self.indices[lo:hi], v)
+        return bool(i < hi and self.indices[i] == v)
+
+    def edge_array(self) -> np.ndarray:
+        """Each edge once as a row (u, v), u < v, in sorted order: an (m, 2) array."""
+        rows = np.arange(self.n, dtype=np.int64).repeat(np.diff(self.indptr))
+        forward = self.indices > rows
+        return np.array((rows[forward], self.indices[forward])).T
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield each edge once as (u, v) with u < v, in sorted order."""
-        for u, nbrs in enumerate(self._adj):
-            for v in nbrs:
-                if v > u:
-                    yield (u, v)
+        return zip(*self.edge_array().T.tolist())
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -129,11 +148,7 @@ def load_edge_list(text: str) -> Graph:
             with its 1-based line number), or if the input holds no edges.
     """
     index: dict[str, int] = {}
-    labels: list[str] = []
-    edge_set: set[tuple[int, int]] = set()
-    self_loops = 0
-    duplicates = 0
-
+    ends: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -143,30 +158,22 @@ def load_edge_list(text: str) -> Graph:
             raise ValueError(
                 f"line {lineno}: expected 2 node tokens, got {len(tokens)}: {raw!r}"
             )
-        a, b = tokens
-        for tok in (a, b):
-            if tok not in index:
-                index[tok] = len(labels)
-                labels.append(tok)
-        u, v = index[a], index[b]
-        if u == v:
-            self_loops += 1
-            continue
-        key = (u, v) if u < v else (v, u)
-        if key in edge_set:
-            duplicates += 1
-        else:
-            edge_set.add(key)
+        for tok in tokens:
+            ends.append(index.setdefault(tok, len(index)))
 
-    if not edge_set:
+    pairs = np.array(ends, np.int64).reshape(-1, 2)
+    g = Graph.from_edges(len(index), pairs, list(index))
+    if g.m == 0:
         raise ValueError("empty input: no edges found")
+    self_loops = int(np.count_nonzero(pairs[:, 0] == pairs[:, 1]))
+    duplicates = len(pairs) - self_loops - g.m
     if duplicates or self_loops:
         logger.warning(
             "dropped %d duplicate edge(s) and %d self-loop(s) at ingestion",
             duplicates,
             self_loops,
         )
-    return Graph.from_edges(len(labels), sorted(edge_set), labels)
+    return g
 
 
 def load_edge_list_file(path) -> Graph:
@@ -183,18 +190,8 @@ def neighborhood(g: Graph, v: int) -> Graph:
         raise IndexError(f"node {v} out of range for n={g.n}")
     nbrs = g.neighbors(v)
     pos = {u: i for i, u in enumerate(nbrs)}
-    adj: list[list[int]] = [[] for _ in nbrs]
-    m = 0
-    for u in nbrs:
-        row = adj[pos[u]]
-        for w in g.neighbors(u):
-            i = pos.get(w)
-            if i is not None:
-                row.append(i)
-                if i > pos[u]:
-                    m += 1
-    # rows inherit sortedness from the parent's sorted neighbor lists
-    return Graph.from_sorted_adjacency(adj, m)
+    edges = [(i, pos[w]) for i, u in enumerate(nbrs) for w in g.neighbors(u) if w in pos]
+    return Graph.from_edges(len(nbrs), edges)
 
 
 def _triangles(g: Graph) -> tuple[np.ndarray, ...]:
@@ -213,21 +210,16 @@ def _triangles(g: Graph) -> tuple[np.ndarray, ...]:
     alone exceeds it); the transient arrays then stay bounded instead of
     growing with n·k².
 
-    Returns ``(deg, indptr, indices, rows, P, Q, H)``: the degrees, the CSR
-    row pointers, column indices and row of each entry, and, per triangle,
-    the CSR positions of its entries (a, b), (a, c) and (b, c). They are made
-    once per graph and kept on it, read-only (racing first calls make equal
-    arrays), so triangle counts and the neighborhood stream share them.
+    Returns ``(rows, P, Q, H)``: the row of each CSR entry and, per
+    triangle, the CSR positions of its entries (a, b), (a, c) and (b, c).
+    They are made once per graph and kept on it, read-only (racing first
+    calls make equal arrays), so triangle counts and the neighborhood stream
+    share them.
     """
     if g._tri is not None:
         return g._tri
-    adj = g._adj
-    n = len(adj)
-    deg = np.fromiter(map(len, adj), np.int64, n)
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    indices = np.fromiter(chain.from_iterable(adj), np.int64, int(indptr[-1]))
-    rows = np.repeat(np.arange(n, dtype=np.int64), deg)
+    indptr, indices, n = g.indptr, g.indices, g.n
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     fwd_pos = np.flatnonzero(indices > rows)
     # ends in a sentinel above every key, so a search past the end still indexes
     fkeys = np.append(rows[fwd_pos] * n + indices[fwd_pos], n * n)
@@ -238,7 +230,8 @@ def _triangles(g: Graph) -> tuple[np.ndarray, ...]:
     opens = indptr[rows[fwd_pos] + 1] - 1 - fwd_pos
     ends = np.cumsum(opens)
     total = int(ends[-1]) if len(ends) else 0
-    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    # starts with empty parts, so a graph without triangles concatenates to them
+    found = [(np.zeros(0, np.int64),) * 3]
     lo = done = 0
     while done < total:
         hi = max(int(np.searchsorted(ends, done + _WEDGE_BLOCK, "right")), lo + 1)
@@ -257,11 +250,8 @@ def _triangles(g: Graph) -> tuple[np.ndarray, ...]:
         cand = cand[closed]
         found.append((first[cand], second[cand], fwd_pos[hit[closed]]))
         lo, done = hi, int(ends[hi - 1])
-    if found:
-        P, Q, H = (np.concatenate(parts) for parts in zip(*found))
-    else:
-        P = Q = H = np.zeros(0, np.int64)
-    listing = (deg, indptr, indices, rows, P, Q, H)
+    P, Q, H = (np.concatenate(parts) for parts in zip(*found))
+    listing = (rows, P, Q, H)
     for arr in listing:
         arr.flags.writeable = False
     g._tri = listing
@@ -285,7 +275,9 @@ def neighborhood_edge_sets(g: Graph) -> Iterator[tuple[int, list[tuple[int, int]
     The work runs at the first ``next()``; tuples are built per node as the
     stream is consumed.
     """
-    deg, indptr, indices, rows, P, Q, H = _triangles(g)
+    rows, P, Q, H = _triangles(g)
+    indptr, indices = g.indptr, g.indices
+    deg = np.diff(indptr)
     # entries in (column, row) order are the reversed entries in CSR order
     twin = np.empty(len(indices), np.int64)
     twin[np.argsort(indices, kind="stable")] = np.arange(len(indices))
@@ -311,14 +303,14 @@ def triangles_per_node(g: Graph) -> list[int]:
     Counts the triangles :func:`_triangles` lists once each, at their three
     corners.
     """
-    _, _, indices, rows, P, Q, _ = _triangles(g)
-    corners = np.concatenate((rows[P], indices[P], indices[Q]))
+    rows, P, Q, _ = _triangles(g)
+    corners = np.concatenate((rows[P], g.indices[P], g.indices[Q]))
     return np.bincount(corners, minlength=g.n).tolist()
 
 
 def triangle_count(g: Graph) -> int:
-    """Total number of triangles in the graph."""
-    return sum(triangles_per_node(g)) // 3
+    """Total number of triangles in the graph: one entry of the listing each."""
+    return len(_triangles(g)[1])
 
 
 def summary_stats(g: Graph) -> SummaryStats:
@@ -330,12 +322,11 @@ def summary_stats(g: Graph) -> SummaryStats:
     """
     if g.n < 1:
         raise ValueError("summary_stats requires at least one node")
-    tri = triangles_per_node(g)
-    total = 0.0
-    for v in range(g.n):
-        k = g.degree(v)
-        if k >= 2:
-            total += 2.0 * tri[v] / (k * (k - 1))
+    k = np.diff(g.indptr)
+    # a node with k < 2 has no triangle, so a divisor of 1 makes it add 0
+    local = 2.0 * np.array(triangles_per_node(g)) / np.maximum(k * (k - 1), 1)
+    # summed left to right, as a loop over the nodes would
+    total = float(np.cumsum(local)[-1])
     return SummaryStats(
         n=g.n,
         m=g.m,

@@ -7,10 +7,11 @@ graph's radius solves (n - 1) P(r) = k for the exact edge probability P,
 integrated against the density of the distance between two uniform points
 in the unit square (Philip 2007), so it needs no simulation and no cache.
 
-All generators draw from numpy's PCG64 keyed by the spec seed, so an
-identical spec reproduces a byte-identical edge list. Substreams for
-sweeps are derived by hashing the master seed together with the cell
-coordinates and replicate index (BLAKE2b, 8-byte digest).
+All generators draw from numpy's PCG64 keyed by the spec seed and hand
+their pairs to :meth:`Graph.from_edges`, so an identical spec reproduces a
+byte-identical edge list. Substreams for sweeps are derived by hashing
+the master seed together with the cell coordinates and replicate index
+(BLAKE2b, 8-byte digest).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from hashlib import blake2b
+from itertools import chain
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -53,9 +55,9 @@ class ModelSpec:
             raise ValueError(f"unknown model family {self.family!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not (0.0 <= self.avg_degree <= self.n - 1):
+        if not (self.avg_degree >= 0.0 and feasible(self.family, self.n, self.avg_degree)):
             raise ValueError(
-                f"avg_degree {self.avg_degree} outside [0, {self.n - 1}]"
+                f"avg_degree {self.avg_degree} infeasible for {self.family} at n={self.n}"
             )
         if self.family == "ws":
             if self.beta is None:
@@ -66,6 +68,17 @@ class ModelSpec:
             raise ValueError(f"beta is only valid for ws, not {self.family}")
 
 
+def lattice_degree(avg_degree: float) -> int:
+    """WS ring-lattice degree: k rounded half up to an even integer, at least 2."""
+    return max(2, 2 * math.floor(avg_degree / 2.0 + 0.5))
+
+
+def feasible(family: str, n: int, avg_degree: float) -> bool:
+    """Whether a spec may ask for this mean degree: at most n - 1, and for ws
+    a lattice degree below n."""
+    return avg_degree <= n - 1 and (family != "ws" or lattice_degree(avg_degree) < n)
+
+
 def generate(spec: ModelSpec) -> Graph:
     """Generate one network realization; deterministic in the spec."""
     if spec.family == "er":
@@ -73,18 +86,6 @@ def generate(spec: ModelSpec) -> Graph:
     if spec.family == "ws":
         return gen_ws(spec)
     return gen_rgg(spec)
-
-
-def _graph_from_pairs(n: int, uu, vv) -> Graph:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(uu.tolist(), vv.tolist()):
-        adj[u].append(v)
-        adj[v].append(u)
-    m = 0
-    for row in adj:
-        row.sort()
-        m += len(row)
-    return Graph.from_sorted_adjacency(adj, m // 2)
 
 
 def _pair_index_to_edge(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -109,41 +110,37 @@ def gen_er(spec: ModelSpec) -> Graph:
     npairs = n * (n - 1) // 2
     p = spec.avg_degree / (n - 1) if n > 1 else 0.0
     if npairs == 0 or p <= 0.0:
-        return Graph.from_sorted_adjacency([[] for _ in range(n)], 0)
-    if p >= 1.0:
-        adj = [[v for v in range(n) if v != u] for u in range(n)]
-        return Graph.from_sorted_adjacency(adj, npairs)
-
-    rng = rng_from(spec.seed, "er", n, float(spec.avg_degree))
-    log_q = math.log1p(-p)
-    chunk = max(1024, int(p * npairs * 1.2) + 16)
-    picked: list[np.ndarray] = []
-    pos = 0
-    while pos < npairs:
-        u = 1.0 - rng.random(chunk)
-        gaps = np.floor(np.log(u) / log_q).astype(np.int64)
-        idx = pos + np.cumsum(gaps + 1) - 1
-        inside = idx < npairs
-        picked.append(idx[inside])
-        if not inside.all():
-            break
-        pos = int(idx[-1]) + 1
-    t = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
-    i, j = _pair_index_to_edge(t)
-    return _graph_from_pairs(n, i, j)
+        t = np.empty(0, dtype=np.int64)
+    elif p >= 1.0:
+        t = np.arange(npairs, dtype=np.int64)
+    else:
+        rng = rng_from(spec.seed, "er", n, float(spec.avg_degree))
+        log_q = math.log1p(-p)
+        chunk = max(1024, int(p * npairs * 1.2) + 16)
+        picked: list[np.ndarray] = []
+        pos = 0
+        while pos < npairs:
+            u = 1.0 - rng.random(chunk)
+            gaps = np.floor(np.log(u) / log_q).astype(np.int64)
+            idx = pos + np.cumsum(gaps + 1) - 1
+            inside = idx < npairs
+            picked.append(idx[inside])
+            if not inside.all():
+                break
+            pos = int(idx[-1]) + 1
+        t = np.concatenate(picked)
+    return Graph.from_edges(n, np.stack(_pair_index_to_edge(t), axis=1))
 
 
 def gen_ws(spec: ModelSpec) -> Graph:
     """Ring lattice joined to K/2 neighbors per side, each edge rewired
     with probability beta to a uniform non-duplicate, non-self target.
 
-    K is the target degree rounded half up to an even integer, at least 2:
-    K = 2 floor(k/2 + 1/2), so every odd integer k rounds up to k + 1.
+    K is :func:`lattice_degree`: the target degree rounded half up to an
+    even integer, at least 2, K = 2 floor(k/2 + 1/2).
     """
     n = spec.n
-    K = max(2, 2 * math.floor(spec.avg_degree / 2.0 + 0.5))
-    if K >= n:
-        raise ValueError(f"lattice degree {K} must be below n={n}")
+    K = lattice_degree(spec.avg_degree)
     beta = float(spec.beta if spec.beta is not None else 0.0)
     rng = rng_from(spec.seed, "ws", n, float(spec.avg_degree), beta)
 
@@ -170,9 +167,9 @@ def gen_ws(spec: ModelSpec) -> Graph:
                 adj[u].add(w)
                 adj[w].add(u)
 
-    rows = [sorted(s) for s in adj]
-    m = sum(len(r) for r in rows) // 2
-    return Graph.from_sorted_adjacency(rows, m)
+    deg = [len(s) for s in adj]
+    ends = np.fromiter(chain.from_iterable(adj), np.int64, sum(deg))
+    return Graph.from_edges(n, np.stack((np.repeat(np.arange(n), deg), ends), axis=1))
 
 
 # P(r) = r^2 (_P2 + r (_P3 + r _P4)) for r <= 1 (see _edge_probability): the
@@ -254,15 +251,13 @@ def gen_rgg(spec: ModelSpec) -> Graph:
     """
     n = spec.n
     if spec.avg_degree <= 0.0 or n < 2:
-        return Graph.from_sorted_adjacency([[] for _ in range(n)], 0)
+        return Graph.from_edges(n, [])
     r = calibrated_radius(n, spec.avg_degree)
     rng = rng_from(spec.seed, "rgg", n, float(spec.avg_degree))
     pts = rng.random((n, 2))
     pairs = cKDTree(pts).query_pairs(r, output_type="ndarray")
-    if len(pairs) == 0:
-        return Graph.from_sorted_adjacency([[] for _ in range(n)], 0)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     pairs = pairs[order]
     d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
     keep = rng.random(len(pairs)) < np.exp(-3.0 * d / r)
-    return _graph_from_pairs(n, pairs[keep, 0], pairs[keep, 1])
+    return Graph.from_edges(n, pairs[keep])

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .models import ModelSpec, generate, substream_seed
+from .models import ModelSpec, feasible, generate, substream_seed
 from .uniqueness import neighborhood_uniqueness
 
 
@@ -190,8 +190,8 @@ def uniqueness_map(
 ) -> UniquenessMap:
     """Mean uniqueness for every feasible (n, avg_degree) grid cell.
 
-    Cells with avg_degree > n - 1 are recorded as skipped rather than
-    failing the whole sweep.
+    Cells that :func:`models.feasible` rules out are recorded as skipped
+    rather than failing the whole sweep.
     """
     if not n_grid or not k_grid:
         raise ValueError("grids must be non-empty")
@@ -200,7 +200,7 @@ def uniqueness_map(
     cells = []
     for n in n_grid:
         for k in k_grid:
-            if k > n - 1:
+            if not feasible(family, n, float(k)):
                 cells.append(MapCell(n, float(k), math.nan, math.nan, 0, True))
                 continue
             mean, sem = uniqueness_at(family, n, float(k), reps, seed, beta, jobs)

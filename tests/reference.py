@@ -2,9 +2,10 @@
 
 These are the straightforward loops the package replaced with faster code,
 kept here as ground truth: per-node neighbourhood extraction, per-node
-triangle counting, node relabeling, a brute-force isomorphism oracle, the
-Monte Carlo soft-RGG radius calibration, and the density of the distance
-between two uniform points in the unit square.
+triangle counting, sorted neighbor lists from pairs, node relabeling, a
+brute-force isomorphism oracle, the Monte Carlo soft-RGG radius
+calibration, and the density of the distance between two uniform points in
+the unit square.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ def neighborhood_edge_sets(g: Graph) -> Iterator[tuple[int, list[tuple[int, int]
     because neighbor lists are sorted.
     """
     n = g.n
+    adj = [g.neighbors(v) for v in range(n)]
     pos = [-1] * n  # scratch: local index of each vertex in the current neighborhood
     for v in range(n):
-        nbrs = g.neighbors(v)
+        nbrs = adj[v]
         if len(nbrs) < 2:
             yield len(nbrs), []
             continue
@@ -37,7 +39,7 @@ def neighborhood_edge_sets(g: Graph) -> Iterator[tuple[int, list[tuple[int, int]
         edges: list[tuple[int, int]] = []
         for u in nbrs:
             iu = pos[u]
-            for w in g.neighbors(u):
+            for w in adj[u]:
                 iw = pos[w]
                 if iw > iu:
                     edges.append((iu, iw))
@@ -49,11 +51,12 @@ def neighborhood_edge_sets(g: Graph) -> Iterator[tuple[int, list[tuple[int, int]
 def triangles_per_node(g: Graph) -> list[int]:
     """Triangles through each node; each triangle {a < b < c} found at (a, b)."""
     counts = [0] * g.n
-    adj_sets = [set(g.neighbors(v)) for v in range(g.n)]
+    adj = [g.neighbors(v) for v in range(g.n)]
+    adj_sets = [set(nbrs) for nbrs in adj]
     for u, v in g.edges():
-        a, b = (u, v) if g.degree(u) <= g.degree(v) else (v, u)
+        a, b = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
         other = adj_sets[b]
-        for w in g.neighbors(a):
+        for w in adj[a]:
             if w > v and w in other:
                 counts[u] += 1
                 counts[v] += 1
@@ -61,15 +64,22 @@ def triangles_per_node(g: Graph) -> list[int]:
     return counts
 
 
+def neighbor_lists(n: int, edges) -> list[list[int]]:
+    """Sorted neighbor lists of the simple graph on 0..n-1 with these pairs.
+
+    Self-loops and repeated pairs, in either direction, are dropped.
+    """
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    return [sorted(s) for s in adj]
+
+
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     """Apply a node permutation: new graph where old node v becomes perm[v]."""
-    adj: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges():
-        adj[perm[u]].append(perm[v])
-        adj[perm[v]].append(perm[u])
-    for row in adj:
-        row.sort()
-    return Graph.from_sorted_adjacency(adj, g.m)
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
 def are_isomorphic_oracle(g1: Graph, g2: Graph, max_nodes: int = 10) -> bool:
@@ -92,6 +102,8 @@ def are_isomorphic_oracle(g1: Graph, g2: Graph, max_nodes: int = 10) -> bool:
         return True
 
     order = _bfs_order(g1)
+    adj1 = [set(g1.neighbors(v)) for v in range(n)]
+    adj2 = [set(g2.neighbors(v)) for v in range(n)]
     mapping = [-1] * n
     used = [False] * n
 
@@ -105,7 +117,7 @@ def are_isomorphic_oracle(g1: Graph, g2: Graph, max_nodes: int = 10) -> bool:
             ok = True
             for j in range(i):
                 u = order[j]
-                if g1.has_edge(v, u) != g2.has_edge(w, mapping[u]):
+                if (u in adj1[v]) != (mapping[u] in adj2[w]):
                     ok = False
                     break
             if ok:

@@ -1,6 +1,7 @@
 """Ingestion, neighborhoods, and summary statistics."""
 
 import itertools
+import logging
 from collections.abc import Iterator
 
 import numpy as np
@@ -41,6 +42,12 @@ class TestLoadEdgeList:
     def test_duplicates_and_self_loops_dropped(self):
         g = load_edge_list("a b\na b\na a")
         assert (g.n, g.m) == (2, 1)
+
+    def test_dropped_counts_logged(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="netuniq.graph"):
+            g = load_edge_list("a b\na b\na a\nb a")
+        assert (g.n, g.m) == (2, 1)
+        assert "dropped 2 duplicate edge(s) and 1 self-loop(s)" in caplog.text
 
     def test_symmetrized(self):
         g = load_edge_list("a b\nb a")
@@ -136,6 +143,68 @@ class TestSummaryStats:
                     expect += 2 * tri[v] / (k * (k - 1))
             assert summary_stats(g).clustering == pytest.approx(expect / g.n)
             assert triangle_count(g) == sum(tri) // 3
+
+
+class TestFromEdges:
+    def test_pairs_and_array_give_the_same_graph(self):
+        pairs = [(2, 0), (0, 2), (1, 1), (3, 1), (2, 0)]
+        for g in (Graph.from_edges(4, pairs), Graph.from_edges(4, np.array(pairs))):
+            assert (g.n, g.m) == (4, 2)
+            assert list(g.edges()) == [(0, 2), (1, 3)]
+            assert g.indptr.tolist() == [0, 1, 2, 3, 4]
+            assert g.indices.tolist() == [2, 3, 0, 1]
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=12),
+        raw=st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=60),
+    )
+    def test_matches_reference(self, n, raw):
+        # pairs in both directions, repeated, and self-loops
+        pairs = [(u % n, v % n) for u, v in raw]
+        g = Graph.from_edges(n, pairs)
+        expect = reference.neighbor_lists(n, pairs)
+        assert [g.neighbors(v) for v in range(n)] == expect
+        assert g.m == sum(map(len, expect)) // 2
+        assert list(g.edges()) == [(u, v) for u in range(n) for v in expect[u] if v > u]
+
+    def test_generator_input(self):
+        g = Graph.from_edges(5, ((v, v + 1) for v in range(4)))
+        assert list(g.edges()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+        assert [g.degree(v) for v in range(5)] == [1, 2, 2, 2, 1]
+
+    @pytest.mark.parametrize("edges", [[(7, 7), (0, 1)], [(0, 1), (0, 3)], [(-1, 2)]])
+    def test_out_of_range_raises(self, edges):
+        # a self-loop is range-checked before it is dropped
+        with pytest.raises(ValueError, match="out of range"):
+            Graph.from_edges(3, edges)
+
+    @pytest.mark.parametrize(
+        "edges", [[(0, 1, 2), (1, 2, 3)], [(0, 1.5)], np.array([[0.0, 1.0]]), [("0", "1")]]
+    )
+    def test_non_integer_pairs_raise(self, edges):
+        with pytest.raises(ValueError, match="integer pairs"):
+            Graph.from_edges(4, edges)
+
+    def test_arrays_read_only(self):
+        for g in (generate(ModelSpec("er", 200, 6.0, 1)), load_edge_list(TRIANGLE)):
+            assert not g.indptr.flags.writeable
+            assert not g.indices.flags.writeable
+            with pytest.raises(ValueError):
+                g.indices[0] = 0
+
+
+def test_clustering_summed_left_to_right():
+    # the mean is the node loop's left-to-right sum, bit for bit; numpy's
+    # pairwise sum differs in the last digit on this graph
+    g = generate(ModelSpec("rgg", 1000, 12.0, 3))
+    tri = triangles_per_node(g)
+    total = 0.0
+    for v in range(g.n):
+        k = g.degree(v)
+        if k >= 2:
+            total += 2.0 * tri[v] / (k * (k - 1))
+    assert summary_stats(g).clustering == total / g.n
 
 
 def test_edges_sorted_and_unique():

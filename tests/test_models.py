@@ -1,5 +1,6 @@
 """Generator determinism, distributional checks, and calibration contracts."""
 
+import hashlib
 import itertools
 import math
 
@@ -15,6 +16,7 @@ from netuniq.models import (
     _edge_probability,
     _pair_index_to_edge,
     calibrated_radius,
+    feasible,
     gen_er,
     gen_rgg,
     gen_ws,
@@ -44,6 +46,13 @@ class TestModelSpec:
         with pytest.raises(ValueError):
             ModelSpec("er", 10, -1.0, seed=0)
 
+    def test_feasibility_rule(self):
+        assert feasible("er", 10, 9.0) and not feasible("er", 10, 9.5)
+        # ws also needs its even lattice degree below n: k=8.9 rounds to 8, k=9 to 10
+        assert feasible("ws", 10, 8.9) and not feasible("ws", 10, 9.0)
+        with pytest.raises(ValueError, match="infeasible"):
+            ModelSpec("ws", 10, 9.0, seed=0, beta=0.5)
+
     def test_beta_only_for_ws(self):
         with pytest.raises(ValueError):
             ModelSpec("er", 10, 2.0, seed=0, beta=0.5)
@@ -64,6 +73,29 @@ class TestDeterminism:
     )
     def test_same_spec_same_edges(self, spec):
         assert edge_text(generate(spec)) == edge_text(generate(spec))
+
+    @pytest.mark.parametrize(
+        "spec,digest",
+        [
+            (
+                ModelSpec("er", 3000, 20.0, seed=9),
+                "74295ec8c9ac2ea298e070810d9331d4b8810d0176c16c035d8add3554eb3e3a",
+            ),
+            (
+                ModelSpec("ws", 3000, 12.0, seed=9, beta=0.3),
+                "26b5efbfeafba3d40e1b2ddbc3d1647ea33cb174bfa2fed1354ebcf131032aa6",
+            ),
+            (
+                ModelSpec("rgg", 2000, 30.0, seed=9),
+                "155946db2d4319e15f1e28f97bc4a32f23827e3a4ccbe930507bed02bd80982f",
+            ),
+        ],
+    )
+    def test_edge_list_bytes_pinned(self, spec, digest):
+        # SHA-256 of the edge-list text: a generator or constructor change that
+        # alters any edge list must update these digests on purpose
+        text = edge_text(generate(spec))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_different_seed_different_edges(self):
         a = generate(ModelSpec("er", 300, 6.0, seed=1))

@@ -78,6 +78,12 @@ class TestUniquenessMap:
         assert not m.cells[0].skipped
         assert m.cells[1].skipped
 
+    def test_ws_cell_with_lattice_degree_n_skipped(self):
+        # k=9 builds the lattice of degree 10, which n=10 nodes cannot hold
+        m = uniqueness_map("ws", [10], [3.0, 9.0], 2, 4, beta=0.5)
+        assert not m.cells[0].skipped
+        assert m.cells[1].skipped
+
     def test_reproducible(self):
         a = uniqueness_map("er", [50, 100], [2.0, 5.0], reps=3, seed=5)
         b = uniqueness_map("er", [50, 100], [2.0, 5.0], reps=3, seed=5)
