@@ -1,11 +1,17 @@
 """Command-line front door.
 
 Subcommands: analyze, generate, er-curve, map, boundary, sample,
-sampling-report. Every run with an ``--out`` directory writes its primary
+sampling-report. Each is one handler, which maps the resolved parameters
+to its primary artifacts, and one row of :func:`build_parser`, which
+declares every option once with its default and argparse keywords. The
+boundary search defaults are those of :class:`SearchConfig`, the family and
+sampling-mode choices those of the library, and JSON artifacts are the
+library's own dataclasses. Option precedence is flag > config file (keys are
+option names with underscores) > built-in default. If no seed is given, one
+is drawn and recorded. Every run with an ``--out`` directory writes its
 artifacts plus a ``manifest.json`` recording the resolved parameters,
 master seed, tool version, input digests and wall-clock duration -- enough
-to replay the run bit-exactly. Option precedence is flag > config file >
-built-in default. If no seed is given, one is drawn and recorded.
+to replay the run bit-exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import os
 import secrets
 import sys
 import time
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -24,46 +31,78 @@ import numpy as np
 from . import __version__
 from .er_theory import er_curve
 from .graph import Graph, load_edge_list_file, summary_stats
-from .models import ModelSpec, generate
-from .sampling import DEFAULT_RATES, SamplingPlan, sample_edges, sampling_report
+from .models import FAMILIES, ModelSpec, generate
+from .sampling import (
+    DEFAULT_RATES,
+    MODES,
+    SamplingPlan,
+    SamplingReportRow,
+    sample_edges,
+    sampling_report,
+)
 from .sweep import SearchConfig, boundary_search, fit_boundary_line, uniqueness_map
 from .uniqueness import uniqueness_report
 
+_ANALYSIS_CSV = (
+    "n",
+    "m",
+    "avg_degree",
+    "clustering",
+    "neighborhood_uniqueness",
+    "degree_uniqueness",
+    "nonempty_fraction",
+)
+
+# boundary option -> SearchConfig field
+_SEARCH_OPTIONS = {
+    "k_lo": "k_lo",
+    "k_hi": "k_hi",
+    "target": "target",
+    "tol": "tolerance",
+    "max_sims": "max_sims",
+    "batch": "batch_size",
+    "confidence": "confidence",
+    "min_width": "min_width",
+}
+
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     return "%.9g" % float(x)
 
 
-def _parse_grid(spec: str, integer: bool = False) -> list:
+def _csv(header, rows) -> str:
+    lines = [",".join(header)] + [",".join(_fmt(x) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _parse_grid(spec, integer: bool = False) -> list:
     """Parse a grid argument: "5", "2,5,10", "1:30" (step 1), "1:30:0.5",
     or "100:20000:log10" (10 log-spaced points)."""
-    spec = spec.strip()
+    spec = str(spec).strip()
     if "," in spec:
         vals = [float(tok) for tok in spec.split(",") if tok.strip()]
     elif ":" in spec:
         parts = spec.split(":")
+        if len(parts) > 3:
+            raise ValueError(f"grid spec {spec!r} has more than three parts")
         lo, hi = float(parts[0]), float(parts[1])
-        if len(parts) == 2:
-            vals = list(np.arange(lo, hi + 0.5, 1.0))
-        elif parts[2].startswith("log"):
-            count = int(parts[2][3:] or 10)
-            vals = list(np.geomspace(lo, hi, count))
+        step = parts[2] if len(parts) == 3 else "1"
+        if step.startswith("log"):
+            vals = list(np.geomspace(lo, hi, int(step[3:] or 10)))
+        elif float(step) == 0.0:
+            raise ValueError(f"grid spec {spec!r} has a zero step")
         else:
-            step = float(parts[2])
-            vals = list(np.arange(lo, hi + step / 2, step))
+            vals = list(np.arange(lo, hi + float(step) / 2, float(step)))
     else:
         vals = [float(spec)]
     if not vals:
         raise ValueError(f"empty grid spec {spec!r}")
     if integer:
-        out: list[int] = []
-        for v in vals:
-            iv = int(round(v))
-            if iv not in out:
-                out.append(iv)
-        return out
+        return list(dict.fromkeys(int(round(v)) for v in vals))
     return vals
 
 
@@ -80,329 +119,59 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _json_dump(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-class Run:
-    """Collects artifacts and writes them with a manifest on close."""
-
-    def __init__(self, command: str, params: dict, out: str | None, inputs=()):
-        self.command = command
-        self.params = params
-        self.out = Path(out) if out else None
-        self.inputs = list(inputs)
-        self.started = time.time()
-        if self.out:
-            self.out.mkdir(parents=True, exist_ok=True)
-
-    def write_text(self, name: str, text: str) -> None:
-        if self.out:
-            (self.out / name).write_text(text)
-        else:
-            sys.stdout.write(text)
-
-    def write_json(self, name: str, payload: dict) -> None:
-        if self.out:
-            _json_dump(self.out / name, payload)
-        else:
-            sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-    def finish(self) -> None:
-        if not self.out:
-            return
-        manifest = {
-            "command": self.command,
-            "parameters": self.params,
-            "version": __version__,
-            "duration_seconds": round(time.time() - self.started, 3),
-            "input_digests": {p: _sha256(p) for p in self.inputs},
-        }
-        _json_dump(self.out / "manifest.json", manifest)
+def _write(command: str, p: dict, artifacts: dict) -> None:
+    """Write each artifact (text, or a dict as JSON) into the ``--out``
+    directory followed by the manifest, or all of them to stdout."""
+    started = time.time()
+    texts = {name: a if isinstance(a, str) else _json_text(a) for name, a in artifacts.items()}
+    if not p["out"]:
+        sys.stdout.write("".join(texts.values()))
+        return
+    out = Path(p["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text)
+    manifest = {
+        "command": command,
+        "parameters": p,
+        "version": __version__,
+        "duration_seconds": round(time.time() - started, 3),
+        "input_digests": {p["input"]: _sha256(p["input"])} if p.get("input") else {},
+    }
+    (out / "manifest.json").write_text(_json_text(manifest))
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flag > config-file value > default."""
+def _resolve(args: argparse.Namespace) -> dict:
+    """Each option of the subcommand: flag > config-file value > default."""
     config = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             config = json.load(fh)
-    resolved = {}
-    for key, fallback in defaults.items():
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in config:
-            resolved[key] = config[key]
-        else:
-            resolved[key] = fallback
-    return resolved
-
-
-def _seed_or_draw(value) -> int:
-    return int(value) if value is not None else secrets.randbits(63)
-
-
-def _model_spec_params(p: dict) -> dict:
-    if p["model"] == "ws" and p.get("beta") is None:
-        raise ValueError("--beta is required for the ws model")
+        if not isinstance(config, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+    p = {}
+    for key, default in args.defaults.items():
+        flag = getattr(args, key)
+        p[key] = flag if flag is not None else config.get(key, default)
+    if "seed" in p:
+        p["seed"] = int(p["seed"]) if p["seed"] is not None else secrets.randbits(63)
     return p
 
 
-def _cmd_analyze(args) -> int:
-    p = _resolve(args, {"input": None, "out": None, "format": "json", "per_node": False})
+def _input_graph(p: dict) -> Graph:
     if not p["input"]:
         raise ValueError("--input is required")
-    g = load_edge_list_file(p["input"])
-    stats = summary_stats(g)
-    report = uniqueness_report(g)
-    payload = {
-        "n": stats.n,
-        "m": stats.m,
-        "avg_degree": stats.avg_degree,
-        "clustering": stats.clustering,
-    }
-    payload.update(report.to_dict(include_per_node=bool(p["per_node"])))
-    if p["per_node"] and g.labels:
-        payload["labels"] = g.labels
-    run = Run("analyze", p, p["out"], inputs=[p["input"]])
-    if p["format"] == "csv":
-        header = "n,m,avg_degree,clustering,neighborhood_uniqueness,degree_uniqueness,nonempty_fraction"
-        row = ",".join(
-            _fmt(x)
-            for x in (
-                stats.n,
-                stats.m,
-                stats.avg_degree,
-                stats.clustering,
-                report.neighborhood_uniqueness,
-                report.degree_uniqueness,
-                report.nonempty_fraction,
-            )
-        )
-        run.write_text("analysis.csv", header + "\n" + row + "\n")
-    else:
-        run.write_json("analysis.json", payload)
-    run.finish()
-    return 0
+    return load_edge_list_file(p["input"])
 
 
-def _cmd_generate(args) -> int:
-    p = _resolve(
-        args,
-        {"model": "er", "n": 1000, "k": 10.0, "beta": None, "seed": None, "out": None},
-    )
-    p["seed"] = _seed_or_draw(p["seed"])
-    _model_spec_params(p)
-    spec = ModelSpec(
-        family=p["model"],
-        n=int(p["n"]),
-        avg_degree=float(p["k"]),
-        seed=p["seed"],
-        beta=float(p["beta"]) if p["beta"] is not None else None,
-    )
-    g = generate(spec)
-    run = Run("generate", p, p["out"])
-    run.write_text("edges.txt", _edge_list_text(g))
-    run.write_json(
-        "genspec.json",
-        {
-            "family": spec.family,
-            "n": spec.n,
-            "avg_degree": spec.avg_degree,
-            "beta": spec.beta,
-            "seed": spec.seed,
-            "realized_m": g.m,
-            "realized_avg_degree": 2.0 * g.m / g.n,
-        },
-    )
-    run.finish()
-    return 0
-
-
-def _cmd_er_curve(args) -> int:
-    p = _resolve(args, {"n": 1000, "k_grid": None, "out": None})
-    grid = _parse_grid(p["k_grid"]) if p["k_grid"] else None
-    curve = er_curve(int(p["n"]), grid)
-    lines = ["avg_k,expected_Uk,expected_Ndelta"]
-    for k, uk, nd in zip(curve.avg_degrees, curve.degree_uniqueness, curve.nonempty_fraction):
-        lines.append(f"{_fmt(k)},{_fmt(uk)},{_fmt(nd)}")
-    run = Run("er-curve", p, p["out"])
-    run.write_text("curve.csv", "\n".join(lines) + "\n")
-    run.finish()
-    return 0
-
-
-def _cmd_map(args) -> int:
-    p = _resolve(
-        args,
-        {
-            "model": "er",
-            "beta": None,
-            "n_grid": "100:1000:log4",
-            "k_grid": "1:20",
-            "reps": 10,
-            "seed": None,
-            "jobs": None,
-            "out": None,
-        },
-    )
-    p["seed"] = _seed_or_draw(p["seed"])
-    _model_spec_params(p)
-    jobs = _jobs(p["jobs"])
-    result = uniqueness_map(
-        family=p["model"],
-        n_grid=_parse_grid(str(p["n_grid"]), integer=True),
-        k_grid=_parse_grid(str(p["k_grid"])),
-        reps=int(p["reps"]),
-        seed=p["seed"],
-        beta=float(p["beta"]) if p["beta"] is not None else None,
-        jobs=jobs,
-    )
-    lines = ["n,avg_k,mean_uniqueness,sem,reps"]
-    for cell in result.cells:
-        if cell.skipped:
-            lines.append(f"{cell.n},{_fmt(cell.avg_degree)},,,0")
-        else:
-            lines.append(
-                f"{cell.n},{_fmt(cell.avg_degree)},{_fmt(cell.mean)},{_fmt(cell.sem)},{cell.reps}"
-            )
-    run = Run("map", p, p["out"])
-    run.write_text("map.csv", "\n".join(lines) + "\n")
-    run.finish()
-    return 0
-
-
-def _cmd_boundary(args) -> int:
-    p = _resolve(
-        args,
-        {
-            "model": "er",
-            "beta": None,
-            "n_grid": "1000",
-            "k_lo": 1.0,
-            "k_hi": 100.0,
-            "target": 0.5,
-            "tol": 0.02,
-            "max_sims": 30,
-            "batch": 5,
-            "confidence": 0.99,
-            "min_width": 0.05,
-            "seed": None,
-            "jobs": None,
-            "out": None,
-        },
-    )
-    p["seed"] = _seed_or_draw(p["seed"])
-    _model_spec_params(p)
-    jobs = _jobs(p["jobs"])
-    config = SearchConfig(
-        target=float(p["target"]),
-        confidence=float(p["confidence"]),
-        batch_size=int(p["batch"]),
-        max_sims=int(p["max_sims"]),
-        tolerance=float(p["tol"]),
-        k_lo=float(p["k_lo"]),
-        k_hi=float(p["k_hi"]),
-        min_width=float(p["min_width"]),
-    )
-    beta = float(p["beta"]) if p["beta"] is not None else None
-    points = []
-    details = []
-    for n in _parse_grid(str(p["n_grid"]), integer=True):
-        result = boundary_search(p["model"], n, config, p["seed"], beta, jobs)
-        points.append((n, result.k_star))
-        details.append(
-            {
-                "n": n,
-                "k_star": result.k_star,
-                "status": result.status,
-                "total_sims": result.total_sims,
-                "evaluations": [
-                    {
-                        "avg_degree": pt.avg_degree,
-                        "mean": pt.mean,
-                        "sem": pt.sem,
-                        "sims": pt.sims,
-                        "status": pt.status,
-                    }
-                    for pt in result.evaluations
-                ],
-            }
-        )
-    lines = ["n,k_star,evaluations"]
-    for (n, k_star), det in zip(points, details):
-        lines.append(f"{n},{_fmt(k_star)},{det['total_sims']}")
-    run = Run("boundary", p, p["out"])
-    run.write_text("boundary.csv", "\n".join(lines) + "\n")
-    run.write_json("boundary_points.json", {"points": details})
-    if len(points) >= 3:
-        fit = fit_boundary_line(points)
-        run.write_json(
-            "fit.json",
-            {"m": fit.slope, "c": fit.intercept, "residuals": fit.residuals, "rmse": fit.rmse},
-        )
-    run.finish()
-    return 0
-
-
-def _cmd_sample(args) -> int:
-    p = _resolve(
-        args,
-        {"input": None, "rate": 0.5, "mode": "bernoulli", "seed": None, "out": None},
-    )
-    if not p["input"]:
-        raise ValueError("--input is required")
-    p["seed"] = _seed_or_draw(p["seed"])
-    g = load_edge_list_file(p["input"])
-    plan = SamplingPlan(rate=float(p["rate"]), mode=p["mode"], seed=p["seed"])
-    sampled = sample_edges(g, plan)
-    run = Run("sample", p, p["out"], inputs=[p["input"]])
-    run.write_text("edges.txt", _edge_list_text(sampled))
-    run.write_json(
-        "sample_info.json",
-        {
-            "rate": plan.rate,
-            "mode": plan.mode,
-            "seed": plan.seed,
-            "original_m": g.m,
-            "retained_m": sampled.m,
-            "n": sampled.n,
-        },
-    )
-    run.finish()
-    return 0
-
-
-def _cmd_sampling_report(args) -> int:
-    p = _resolve(
-        args,
-        {"input": None, "rates": None, "mode": "bernoulli", "seed": None, "out": None},
-    )
-    if not p["input"]:
-        raise ValueError("--input is required")
-    p["seed"] = _seed_or_draw(p["seed"])
-    g = load_edge_list_file(p["input"])
-    rates = _parse_grid(str(p["rates"])) if p["rates"] else list(DEFAULT_RATES)
-    report = sampling_report(g, rates, seed=p["seed"], mode=p["mode"])
-    lines = ["rate,avg_degree,uniqueness,degree_error,triangle_error"]
-    for row in report.rows:
-        lines.append(
-            ",".join(
-                _fmt(x)
-                for x in (
-                    row.rate,
-                    row.avg_degree,
-                    row.uniqueness,
-                    row.degree_error,
-                    row.triangle_error,
-                )
-            )
-        )
-    run = Run("sampling-report", p, p["out"], inputs=[p["input"]])
-    run.write_text("report.csv", "\n".join(lines) + "\n")
-    run.finish()
-    return 0
+def _beta(p: dict) -> float | None:
+    if p["model"] == "ws" and p["beta"] is None:
+        raise ValueError("--beta is required for the ws model")
+    return float(p["beta"]) if p["beta"] is not None else None
 
 
 def _jobs(value) -> int:
@@ -410,6 +179,108 @@ def _jobs(value) -> int:
         return max(1, int(value))
     env = os.environ.get("NETUNIQ_JOBS")
     return max(1, int(env)) if env else 1
+
+
+def _cmd_analyze(p: dict) -> dict:
+    g = _input_graph(p)
+    payload = asdict(summary_stats(g))
+    payload.update(uniqueness_report(g).to_dict(include_per_node=bool(p["per_node"])))
+    if p["per_node"] and g.labels:
+        payload["labels"] = g.labels
+    if p["format"] == "csv":
+        return {"analysis.csv": _csv(_ANALYSIS_CSV, [[payload[f] for f in _ANALYSIS_CSV]])}
+    return {"analysis.json": payload}
+
+
+def _cmd_generate(p: dict) -> dict:
+    spec = ModelSpec(
+        family=p["model"],
+        beta=_beta(p),
+        n=int(p["n"]),
+        avg_degree=float(p["k"]),
+        seed=p["seed"],
+    )
+    g = generate(spec)
+    genspec = {**asdict(spec), "realized_m": g.m, "realized_avg_degree": 2.0 * g.m / g.n}
+    return {"edges.txt": _edge_list_text(g), "genspec.json": genspec}
+
+
+def _cmd_er_curve(p: dict) -> dict:
+    curve = er_curve(int(p["n"]), _parse_grid(p["k_grid"]) if p["k_grid"] else None)
+    rows = zip(curve.avg_degrees, curve.degree_uniqueness, curve.nonempty_fraction)
+    return {"curve.csv": _csv(("avg_k", "expected_Uk", "expected_Ndelta"), rows)}
+
+
+def _cmd_map(p: dict) -> dict:
+    result = uniqueness_map(
+        family=p["model"],
+        beta=_beta(p),
+        jobs=_jobs(p["jobs"]),
+        n_grid=_parse_grid(p["n_grid"], integer=True),
+        k_grid=_parse_grid(p["k_grid"]),
+        reps=int(p["reps"]),
+        seed=p["seed"],
+    )
+    rows = [
+        (c.n, c.avg_degree, "", "", 0) if c.skipped else (c.n, c.avg_degree, c.mean, c.sem, c.reps)
+        for c in result.cells
+    ]
+    return {"map.csv": _csv(("n", "avg_k", "mean_uniqueness", "sem", "reps"), rows)}
+
+
+def _cmd_boundary(p: dict) -> dict:
+    beta, jobs = _beta(p), _jobs(p["jobs"])
+    default = SearchConfig()
+    config = SearchConfig(
+        **{f: type(getattr(default, f))(p[opt]) for opt, f in _SEARCH_OPTIONS.items()}
+    )
+    points = []
+    for n in _parse_grid(p["n_grid"], integer=True):
+        result = boundary_search(p["model"], n, config, p["seed"], beta, jobs)
+        points.append({"n": n, "total_sims": result.total_sims, **asdict(result)})
+    rows = [(pt["n"], pt["k_star"], pt["total_sims"]) for pt in points]
+    artifacts = {
+        "boundary.csv": _csv(("n", "k_star", "evaluations"), rows),
+        "boundary_points.json": {"points": points},
+    }
+    if len(points) >= 3:
+        fit = fit_boundary_line([(n, k_star) for n, k_star, _ in rows])
+        artifacts["fit.json"] = {
+            "m": fit.slope,
+            "c": fit.intercept,
+            "residuals": fit.residuals,
+            "rmse": fit.rmse,
+        }
+    return artifacts
+
+
+def _cmd_sample(p: dict) -> dict:
+    g = _input_graph(p)
+    plan = SamplingPlan(rate=float(p["rate"]), mode=p["mode"], seed=p["seed"])
+    sampled = sample_edges(g, plan)
+    info = {**asdict(plan), "original_m": g.m, "retained_m": sampled.m, "n": sampled.n}
+    return {"edges.txt": _edge_list_text(sampled), "sample_info.json": info}
+
+
+def _cmd_sampling_report(p: dict) -> dict:
+    g = _input_graph(p)
+    rates = _parse_grid(p["rates"]) if p["rates"] else list(DEFAULT_RATES)
+    report = sampling_report(g, rates, seed=p["seed"], mode=p["mode"])
+    header = [f.name for f in fields(SamplingReportRow)]
+    return {"report.csv": _csv(header, map(astuple, report.rows))}
+
+
+# Options several subcommands share: name -> (default, argparse keywords).
+_SHARED_OPTIONS = {
+    "out": (None, {"help": "output directory (stdout if omitted)"}),
+    "input": (None, {"help": "edge-list file"}),
+    "model": ("er", {"choices": FAMILIES}),
+    "beta": (None, {"type": float, "help": "ws rewiring probability"}),
+    "n": (1000, {"type": int}),
+    "mode": ("bernoulli", {"choices": MODES}),
+    "seed": (None, {"type": int}),
+    "jobs": (None, {"type": int}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,88 +291,81 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"netuniq {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, **options):
+    def add(name, handler, *options):
+        """Each option is a shared option's name or (name, default, argparse
+        keywords). Flags default to None, so a config value can fill them."""
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON file with default parameter values")
-        sp.add_argument("--out", help="output directory (stdout if omitted)")
-        for opt, kwargs in options.items():
-            sp.add_argument(f"--{opt.replace('_', '-')}", **kwargs)
-        sp.set_defaults(handler=handler)
-        return sp
+        defaults = {}
+        for opt in ("out", *options):
+            key, default, kwargs = (opt, *_SHARED_OPTIONS[opt]) if isinstance(opt, str) else opt
+            sp.add_argument(f"--{key.replace('_', '-')}", default=None, **kwargs)
+            defaults[key] = default
+        sp.set_defaults(handler=handler, defaults=defaults)
 
     add(
         "analyze",
         _cmd_analyze,
-        input={"help": "edge-list file"},
-        format={"choices": ["json", "csv"]},
-        per_node={"action": "store_true", "default": None,
-                  "help": "include per-node occurrence counts"},
+        "input",
+        ("format", "json", {"choices": ["json", "csv"]}),
+        ("per_node", False, {"action": "store_true", "help": "include per-node occurrence counts"}),
     )
     add(
         "generate",
         _cmd_generate,
-        model={"choices": ["er", "ws", "rgg"]},
-        n={"type": int},
-        k={"type": float, "help": "target average degree"},
-        beta={"type": float, "help": "ws rewiring probability"},
-        seed={"type": int},
+        "model",
+        "n",
+        ("k", 10.0, {"type": float, "help": "target average degree"}),
+        "beta",
+        "seed",
     )
-    add("er-curve", _cmd_er_curve, n={"type": int}, k_grid={"help": "degree grid"})
+    add("er-curve", _cmd_er_curve, "n", ("k_grid", None, {"help": "degree grid"}))
     add(
         "map",
         _cmd_map,
-        model={"choices": ["er", "ws", "rgg"]},
-        beta={"type": float},
-        n_grid={"help": "e.g. 100:20000:log10"},
-        k_grid={"help": "e.g. 1:100"},
-        reps={"type": int},
-        seed={"type": int},
-        jobs={"type": int},
+        "model",
+        "beta",
+        ("n_grid", "100:1000:log4", {"help": "e.g. 100:20000:log10"}),
+        ("k_grid", "1:20", {"help": "e.g. 1:100"}),
+        ("reps", 10, {"type": int}),
+        "seed",
+        "jobs",
     )
+    search = SearchConfig()
     add(
         "boundary",
         _cmd_boundary,
-        model={"choices": ["er", "ws", "rgg"]},
-        beta={"type": float},
-        n_grid={"help": "sizes to search, e.g. 1000,5000,10000"},
-        k_lo={"type": float},
-        k_hi={"type": float},
-        target={"type": float},
-        tol={"type": float},
-        max_sims={"type": int},
-        batch={"type": int},
-        confidence={"type": float},
-        min_width={"type": float},
-        seed={"type": int},
-        jobs={"type": int},
+        "model",
+        "beta",
+        ("n_grid", "1000", {"help": "sizes to search, e.g. 1000,5000,10000"}),
+        *[
+            (opt, getattr(search, f), {"type": type(getattr(search, f))})
+            for opt, f in _SEARCH_OPTIONS.items()
+        ],
+        "seed",
+        "jobs",
     )
-    add(
-        "sample",
-        _cmd_sample,
-        input={"help": "edge-list file"},
-        rate={"type": float},
-        mode={"choices": ["bernoulli", "exact-count"]},
-        seed={"type": int},
-    )
+    add("sample", _cmd_sample, "input", ("rate", 0.5, {"type": float}), "mode", "seed")
     add(
         "sampling-report",
         _cmd_sampling_report,
-        input={"help": "edge-list file"},
-        rates={"help": "comma list, e.g. 1.0,0.9,0.8"},
-        mode={"choices": ["bernoulli", "exact-count"]},
-        seed={"type": int},
+        "input",
+        ("rates", None, {"help": "comma list, e.g. 1.0,0.9,0.8"}),
+        "mode",
+        "seed",
     )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        p = _resolve(args)
+        _write(args.command, p, args.handler(p))
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -23,11 +23,10 @@ from itertools import chain
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.spatial import cKDTree
 
 from .graph import Graph
 
-_FAMILIES = ("er", "ws", "rgg")
+FAMILIES = ("er", "ws", "rgg")
 
 
 def substream_seed(master: int, *tags) -> int:
@@ -51,7 +50,7 @@ class ModelSpec:
     beta: float | None = None
 
     def __post_init__(self):
-        if self.family not in _FAMILIES:
+        if self.family not in FAMILIES:
             raise ValueError(f"unknown model family {self.family!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
@@ -249,6 +248,10 @@ def gen_rgg(spec: ModelSpec) -> Graph:
     r is :func:`calibrated_radius`, at which the expected mean degree equals
     the target exactly.
     """
+    # imported here: scipy.spatial is the package's costliest import and only
+    # this generator needs it
+    from scipy.spatial import cKDTree
+
     n = spec.n
     if spec.avg_degree <= 0.0 or n < 2:
         return Graph.from_edges(n, [])

@@ -18,7 +18,7 @@ from .graph import Graph, triangle_count
 from .models import rng_from, substream_seed
 from .uniqueness import neighborhood_uniqueness
 
-_MODES = ("bernoulli", "exact-count")
+MODES = ("bernoulli", "exact-count")
 
 
 @dataclass(frozen=True)
@@ -32,8 +32,8 @@ class SamplingPlan:
     def __post_init__(self):
         if not (0.0 < self.rate <= 1.0):
             raise ValueError("rate must lie in (0, 1]")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}")
 
 
 def sample_edges(g: Graph, plan: SamplingPlan) -> Graph:

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import netuniq
+import netuniq.cli as cli
 from netuniq.cli import main, _parse_grid
 from netuniq.er_theory import expected_degree_uniqueness
+from netuniq.sweep import PointEstimate, SearchResult
 
 TRIANGLE = "a b\nb c\na c\n"
 
@@ -38,6 +40,18 @@ class TestParseGrid:
     def test_empty(self):
         with pytest.raises(ValueError):
             _parse_grid(",")
+
+    def test_zero_step(self):
+        with pytest.raises(ValueError):
+            _parse_grid("1:30:0")
+
+    def test_too_many_parts(self):
+        with pytest.raises(ValueError):
+            _parse_grid("1:2:3:4")
+
+    def test_bad_grid_is_a_usage_error(self, capsys):
+        assert main(["er-curve", "--n", "50", "--k-grid", "1:30:0"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestAnalyze:
@@ -198,12 +212,162 @@ class TestUsageErrors:
         assert "netuniq" in capsys.readouterr().out
 
 
+def _fake_search(calls):
+    """Stand-in for ``cli.boundary_search`` that records its config."""
+
+    def search(family, n, config, seed, beta=None, jobs=1):
+        calls.append(config)
+        point = PointEstimate(avg_degree=5.0, mean=0.5, sem=0.01, sims=5, status="hit_tolerance")
+        return SearchResult(k_star=5.0, status="tolerance", evaluations=[point])
+
+    return search
+
+
+def _parameters(out, input_path=None):
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {"command", "parameters", "version", "duration_seconds",
+                             "input_digests"}
+    params = dict(manifest["parameters"])
+    assert params["out"] == str(out)
+    params["out"] = "OUT"
+    if input_path is not None:
+        assert params["input"] == input_path
+        params["input"] = "INPUT"
+    return params
+
+
+# One fixed invocation per subcommand and the manifest parameters it records.
+CONTRACT = {
+    "analyze": (
+        ["--format", "csv"],
+        {"format": "csv", "input": "INPUT", "out": "OUT", "per_node": False},
+    ),
+    "generate": (
+        ["--model", "ws", "--n", "40", "--k", "4", "--beta", "0.3", "--seed", "2"],
+        {"beta": 0.3, "k": 4.0, "model": "ws", "n": 40, "out": "OUT", "seed": 2},
+    ),
+    "er-curve": (
+        ["--n", "50", "--k-grid", "1,2"],
+        {"k_grid": "1,2", "n": 50, "out": "OUT"},
+    ),
+    "map": (
+        ["--model", "er", "--n-grid", "30", "--k-grid", "2", "--reps", "2", "--seed", "1"],
+        {"beta": None, "jobs": None, "k_grid": "2", "model": "er", "n_grid": "30",
+         "out": "OUT", "reps": 2, "seed": 1},
+    ),
+    "boundary": (
+        ["--n-grid", "150", "--seed", "3"],
+        {"batch": 5, "beta": None, "confidence": 0.99, "jobs": None, "k_hi": 100.0,
+         "k_lo": 1.0, "max_sims": 30, "min_width": 0.05, "model": "er", "n_grid": "150",
+         "out": "OUT", "seed": 3, "target": 0.5, "tol": 0.02},
+    ),
+    "sample": (
+        ["--rate", "0.5", "--seed", "8"],
+        {"input": "INPUT", "mode": "bernoulli", "out": "OUT", "rate": 0.5, "seed": 8},
+    ),
+    "sampling-report": (
+        ["--rates", "1.0,0.5", "--mode", "exact-count", "--seed", "4"],
+        {"input": "INPUT", "mode": "exact-count", "out": "OUT", "rates": "1.0,0.5",
+         "seed": 4},
+    ),
+}
+NEEDS_INPUT = {"analyze", "sample", "sampling-report"}
+
+
+class TestContract:
+    @pytest.mark.parametrize("command", sorted(CONTRACT))
+    def test_manifest_parameters(self, command, triangle_file, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "boundary_search", _fake_search([]))
+        flags, expected = CONTRACT[command]
+        if command in NEEDS_INPUT:
+            flags = ["--input", triangle_file] + flags
+        out = tmp_path / command
+        assert main([command] + flags + ["--out", str(out)]) == 0
+        assert _parameters(out, triangle_file if command in NEEDS_INPUT else None) == expected
+
+    def test_artifact_keys(self, triangle_file, tmp_path):
+        def run(argv, name):
+            assert main(argv + ["--out", str(tmp_path)]) == 0
+            return json.loads((tmp_path / name).read_text())
+
+        genspec = run(["generate", "--n", "30", "--k", "3", "--seed", "1"], "genspec.json")
+        assert set(genspec) == {"family", "n", "avg_degree", "beta", "seed", "realized_m",
+                                "realized_avg_degree"}
+        info = run(["sample", "--input", triangle_file, "--seed", "1"], "sample_info.json")
+        assert set(info) == {"rate", "mode", "seed", "original_m", "retained_m", "n"}
+        analysis = run(["analyze", "--input", triangle_file], "analysis.json")
+        assert set(analysis) == {"n", "m", "avg_degree", "clustering", "neighborhood_uniqueness",
+                                 "degree_uniqueness", "nonempty_fraction", "nonempty_by_degree"}
+        boundary = ["boundary", "--n-grid", "150", "--k-lo", "2", "--k-hi", "30", "--batch", "3",
+                    "--max-sims", "6", "--min-width", "1.0", "--seed", "5"]
+        (point,) = run(boundary, "boundary_points.json")["points"]
+        assert set(point) == {"n", "k_star", "status", "total_sims", "evaluations"}
+        assert point["evaluations"]
+        for evaluation in point["evaluations"]:
+            assert set(evaluation) == {"avg_degree", "mean", "sem", "sims", "status"}
+
+
+class TestConfigFile:
+    def config(self, tmp_path, payload):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(payload))
+        return str(path)
+
+    def test_analyze_per_node_from_config(self, triangle_file, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"per_node": True})
+        assert main(["analyze", "--input", triangle_file, "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["occurrence"] == [3, 3, 3]
+
+    def test_boundary_search_knobs_from_config(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "boundary_search", _fake_search(calls))
+        cfg = self.config(tmp_path, {"tol": 0.1, "batch": 3, "seed": 2})
+        out = tmp_path / "b"
+        assert main(["boundary", "--n-grid", "150", "--config", cfg, "--batch", "4",
+                     "--out", str(out)]) == 0
+        params = _parameters(out)
+        assert params["tol"] == 0.1 and params["batch"] == 4  # config fills, flag wins
+        assert calls[0].tolerance == 0.1 and calls[0].batch_size == 4
+
+    def test_out_from_config(self, tmp_path):
+        out = tmp_path / "from_config"
+        cfg = self.config(tmp_path, {"out": str(out)})
+        assert main(["generate", "--n", "20", "--k", "2", "--seed", "1", "--config", cfg]) == 0
+        assert (out / "edges.txt").exists()
+        assert _parameters(out)["out"] == "OUT"
+
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, [1, 2])
+        assert main(["generate", "--n", "20", "--k", "2", "--seed", "1", "--config", cfg]) == 1
+        assert "JSON object" in capsys.readouterr().err
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [["map", "--model", "ws", "--n-grid", "40", "--k-grid", "4", "--seed", "1"],
+         ["boundary", "--model", "ws", "--n-grid", "40", "--seed", "1"]],
+    )
+    def test_ws_without_beta(self, argv, capsys):
+        assert main(argv) == 1
+        assert "--beta is required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(CONTRACT))
+    def test_help(self, command, capsys):
+        with pytest.raises(SystemExit) as err:
+            main([command, "--help"])
+        assert err.value.code == 0
+        assert "--out" in capsys.readouterr().out
+
+
 def test_cli_import_leaves_out_scipy_stats():
     # scipy.stats costs most of a CLI start; the boundary search needs only
-    # ndtri, and the RGG calibration neither a root finder nor an integrator
+    # ndtri, the RGG calibration neither a root finder nor an integrator, and
+    # only RGG generation builds a KD-tree
     src = str(Path(netuniq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    heavy = ["scipy.stats", "scipy.optimize", "scipy.integrate"]
+    heavy = ["scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.spatial"]
     code = f"import sys, netuniq.cli; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
