@@ -11,10 +11,11 @@ chosen as the lexicographically minimal adjacency bitstring over the search
 leaves. Several exact reductions keep common inputs out of the backtracking
 search entirely: edgeless graphs, disjoint unions of edges, paths, cycles,
 connected-component decomposition, and complementation of dense graphs.
-Discovered automorphisms prune redundant branches. Worst-case cost is
-exponential in the node count; sparse or dense neighborhoods hitting the
-reductions are linear to low-polynomial, which covers the workloads this
-package generates (node neighborhoods up to about a thousand nodes).
+Two rules prune the search: explored twins and the orbits of discovered
+automorphisms cover redundant branches. Worst-case cost is exponential in
+the node count; sparse or dense neighborhoods hitting the reductions are
+linear to low-polynomial, which covers the workloads this package
+generates (node neighborhoods up to about a thousand nodes).
 
 Isolated nodes are counted, not explored: each is a one-node part of the
 union, and a connected graph is never relabeled. Refinement starts from
@@ -200,18 +201,19 @@ def _canonical_bits(
 ) -> tuple[int, int]:
     """Minimal adjacency bitstring over the individualization-refinement tree.
 
-    Bit order is column-major over the strict upper triangle, so a discrete
-    prefix of t cells pins the first t*(t-1)/2 bits and allows pruning
-    against the current best. Leaves tying with the best yield automorphisms
-    whose orbits prune sibling branches (only generators fixing the current
-    individualized prefix pointwise are applied).
+    Bit order is column-major over the strict upper triangle; the pinned
+    certificate bytes depend on it. Two rules skip a sibling branch: an
+    explored twin (swapping twins is an automorphism), or an explored
+    vertex in its orbit under the automorphisms that leaves tying with the
+    best yield (only generators fixing the current individualized prefix
+    pointwise are applied). Either way an explored branch reaches the same
+    leaf values.
     """
     nbits = n * (n - 1) // 2
     tri = [j * (j - 1) // 2 for j in range(n)]
     best: int | None = None
-    best_order: list[int] | None = None
+    best_order: list[int] = []
     gens: list[tuple[int, ...]] = []
-    gen_seen: set[tuple[int, ...]] = set()
 
     def leaf_value(order: list[int]) -> int:
         # pair (i, j), i < j, is the character tri[j] + i from the left
@@ -223,17 +225,6 @@ def _canonical_bits(
             i, j = pos[u], pos[v]
             bits[tri[j] + i if i < j else tri[i] + j] = 49  # ord("1")
         return int(bits, 2)
-
-    def prefix_value(prefix: list[int]) -> tuple[int, int]:
-        pbits = len(prefix) * (len(prefix) - 1) // 2
-        pos = {v: i for i, v in enumerate(prefix)}
-        val = 0
-        for v, i in pos.items():
-            for w in adj[v]:
-                j = pos.get(w)
-                if j is not None and j > i:
-                    val |= 1 << (pbits - 1 - (tri[j] + i))
-        return val, pbits
 
     def redundant(v: int, explored: list[int], fixed: list[int]) -> bool:
         # an explored twin (swapping twins is an automorphism) or orbit mate covers v
@@ -266,23 +257,16 @@ def _canonical_bits(
         if best is None or val < best:
             best = val
             best_order = order
-        elif val == best and best_order is not None:
+        elif val == best and len(gens) < _MAX_AUT_GENS:
             sigma = dict(zip(best_order, order))
-            tup = tuple(map(sigma.__getitem__, range(n)))
-            if tup not in gen_seen and len(gens) < _MAX_AUT_GENS:
-                gen_seen.add(tup)
-                gens.append(tup)
+            gens.append(tuple(map(sigma.__getitem__, range(n))))
 
     def open_node(cells: list[list[int]], fixed: list[int]):
-        """Leaf or pruned -> None; otherwise a search frame to explore."""
+        """Leaf -> None; otherwise a search frame to explore."""
         target = next((i for i, cell in enumerate(cells) if len(cell) > 1), -1)
         if target < 0:
             handle_leaf(cells)
             return None
-        if best is not None and target > 0:
-            pval, pbits = prefix_value([cells[i][0] for i in range(target)])
-            if pval > best >> (nbits - pbits):
-                return None
         return [cells, fixed, target, iter(cells[target]), []]  # frame
 
     # explicit stack: individualization chains can be as deep as the graph

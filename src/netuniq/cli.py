@@ -11,7 +11,8 @@ option names with underscores) > built-in default. If no seed is given, one
 is drawn and recorded. Every run with an ``--out`` directory writes its
 artifacts plus a ``manifest.json`` recording the resolved parameters,
 master seed, tool version, input digests and wall-clock duration -- enough
-to replay the run bit-exactly.
+to replay the run bit-exactly. Without ``--out`` only the primary (first)
+artifact goes to stdout.
 """
 
 from __future__ import annotations
@@ -123,13 +124,12 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write(command: str, p: dict, artifacts: dict) -> None:
+def _write(command: str, p: dict, artifacts: dict, started: float) -> None:
     """Write each artifact (text, or a dict as JSON) into the ``--out``
-    directory followed by the manifest, or all of them to stdout."""
-    started = time.time()
+    directory followed by the manifest, or the first one to stdout."""
     texts = {name: a if isinstance(a, str) else _json_text(a) for name, a in artifacts.items()}
     if not p["out"]:
-        sys.stdout.write("".join(texts.values()))
+        sys.stdout.write(next(iter(texts.values())))
         return
     out = Path(p["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -139,7 +139,7 @@ def _write(command: str, p: dict, artifacts: dict) -> None:
         "command": command,
         "parameters": p,
         "version": __version__,
-        "duration_seconds": round(time.time() - started, 3),
+        "duration_seconds": round(time.perf_counter() - started, 3),
         "input_digests": {p["input"]: _sha256(p["input"])} if p.get("input") else {},
     }
     (out / "manifest.json").write_text(_json_text(manifest))
@@ -272,7 +272,7 @@ def _cmd_sampling_report(p: dict) -> dict:
 
 # Options several subcommands share: name -> (default, argparse keywords).
 _SHARED_OPTIONS = {
-    "out": (None, {"help": "output directory (stdout if omitted)"}),
+    "out": (None, {"help": "output directory (primary artifact to stdout if omitted)"}),
     "input": (None, {"help": "edge-list file"}),
     "model": ("er", {"choices": FAMILIES}),
     "beta": (None, {"type": float, "help": "ws rewiring probability"}),
@@ -359,9 +359,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
         p = _resolve(args)
-        _write(args.command, p, args.handler(p))
+        _write(args.command, p, args.handler(p), started)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

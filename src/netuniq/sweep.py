@@ -110,34 +110,6 @@ def _uniqueness_of_spec(spec: ModelSpec) -> float:
     return neighborhood_uniqueness(generate(spec))
 
 
-def _replicate_specs(
-    family: str,
-    n: int,
-    avg_degree: float,
-    seed: int,
-    beta: float | None,
-    count: int,
-    offset: int,
-) -> list[ModelSpec]:
-    return [
-        ModelSpec(
-            family=family,
-            n=n,
-            avg_degree=avg_degree,
-            seed=substream_seed(seed, family, beta, n, float(avg_degree), rep),
-            beta=beta,
-        )
-        for rep in range(offset, offset + count)
-    ]
-
-
-def _run_specs(specs: list[ModelSpec], jobs: int) -> list[float]:
-    if jobs > 1 and len(specs) > 1:
-        with multiprocessing.Pool(min(jobs, len(specs))) as pool:
-            return pool.map(_uniqueness_of_spec, specs)
-    return [_uniqueness_of_spec(s) for s in specs]
-
-
 def model_sampler(
     family: str,
     n: int,
@@ -148,8 +120,20 @@ def model_sampler(
     """Sampler drawing uniqueness values from fresh model realizations."""
 
     def sample(avg_degree: float, count: int, offset: int) -> list[float]:
-        specs = _replicate_specs(family, n, avg_degree, seed, beta, count, offset)
-        return _run_specs(specs, jobs)
+        specs = [
+            ModelSpec(
+                family=family,
+                n=n,
+                avg_degree=avg_degree,
+                seed=substream_seed(seed, family, beta, n, float(avg_degree), rep),
+                beta=beta,
+            )
+            for rep in range(offset, offset + count)
+        ]
+        if jobs > 1 and count > 1:
+            with multiprocessing.Pool(min(jobs, count)) as pool:
+                return pool.map(_uniqueness_of_spec, specs)
+        return [_uniqueness_of_spec(s) for s in specs]
 
     return sample
 
@@ -173,10 +157,7 @@ def uniqueness_at(
     """Mean and standard error of uniqueness over seeded replicates."""
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    values = _run_specs(
-        _replicate_specs(family, n, avg_degree, seed, beta, reps, 0), jobs
-    )
-    return _mean_sem(values)
+    return _mean_sem(model_sampler(family, n, seed, beta, jobs)(avg_degree, reps, 0))
 
 
 def uniqueness_map(

@@ -161,8 +161,9 @@ def paley(q):
     return [(i, j) for i, j in itertools.combinations(range(q), 2) if (j - i) % q in squares]
 
 
-def cfi(base_edges, twisted):
-    """Cai-Furer-Immerman graph over a base graph; ``twisted`` flips one edge."""
+def cfi(base_edges, twist=None):
+    """Cai-Furer-Immerman graph over a base graph; ``twist`` indexes the one
+    base edge whose gadget connection is flipped (None: no flip)."""
     incident = {}
     for e in base_edges:
         for v in e:
@@ -179,7 +180,7 @@ def cfi(base_edges, twisted):
                 middle = node(("m", v, subset))
                 edges += [(middle, node(("a", v, e, int(e in subset)))) for e in es]
     for i, (u, v) in enumerate(base_edges):
-        flip = int(twisted and i == 0)
+        flip = int(i == twist)
         for bit in (0, 1):
             edges.append((node(("a", u, (u, v), bit)), node(("a", v, (u, v), bit ^ flip))))
     return len(ids), edges
@@ -222,12 +223,32 @@ class TestNetworkxDifferential:
         assert self.agree(nx, 200, a, 200, self.shuffled(200, a, 3))
         assert not self.agree(nx, 200, a, 200, b)
 
-    def test_cfi_pair(self, nx):
-        k4 = list(itertools.combinations(range(4), 2))
-        n, plain = cfi(k4, twisted=False)
-        _, twisted = cfi(k4, twisted=True)
-        assert not self.agree(nx, n, plain, n, twisted)
+    @pytest.mark.parametrize(
+        "base, vf2_refutes",
+        [
+            pytest.param(list(itertools.combinations(range(4), 2)), True, id="k4"),
+            pytest.param([(a, b) for a in range(3) for b in range(3, 6)], False, id="k33"),
+            pytest.param(
+                [(i, (i + 1) % 5) for i in range(5)]
+                + [(i, i + 5) for i in range(5)]
+                + [(i + 5, (i + 2) % 5 + 5) for i in range(5)],
+                False,
+                id="petersen",
+            ),
+        ],
+    )
+    def test_cfi_pair(self, nx, base, vf2_refutes):
+        n, plain = cfi(base)
+        _, twisted = cfi(base, twist=0)
+        _, moved = cfi(base, twist=len(base) - 1)
+        # over a connected base a twist changes the graph wherever it sits
+        # (Cai, Furer and Immerman 1992); VF2++ takes exponential time to
+        # confirm the change beyond K4
+        assert certificate(Graph.from_edges(n, plain)) != certificate(Graph.from_edges(n, twisted))
+        if vf2_refutes:
+            assert not self.agree(nx, n, plain, n, twisted)
         assert self.agree(nx, n, plain, n, self.shuffled(n, plain, 4))
+        assert self.agree(nx, n, twisted, n, self.shuffled(n, moved, 4))
 
 
 def sparse_graph(n, rng):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,19 @@ class TestGenerate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert isinstance(manifest["parameters"]["seed"], int)
 
+    def test_stdout_round_trips_through_analyze(self, tmp_path, capsys):
+        # without --out only the primary artifact, the edge list, is printed
+        args = ["generate", "--model", "er", "--n", "50", "--k", "4", "--seed", "1"]
+        assert main(args) == 0
+        printed = capsys.readouterr().out
+        assert main(args + ["--out", str(tmp_path / "g")]) == 0
+        assert printed == (tmp_path / "g" / "edges.txt").read_text()
+        path = tmp_path / "g.txt"
+        path.write_text(printed)
+        assert main(["analyze", "--input", str(path)]) == 0
+        spec = json.loads((tmp_path / "g" / "genspec.json").read_text())
+        assert json.loads(capsys.readouterr().out)["m"] == spec["realized_m"]
+
 
 class TestErCurve:
     def test_csv_matches_theory(self, tmp_path):
@@ -212,11 +226,13 @@ class TestUsageErrors:
         assert "netuniq" in capsys.readouterr().out
 
 
-def _fake_search(calls):
-    """Stand-in for ``cli.boundary_search`` that records its config."""
+def _fake_search(calls, delay=0.0):
+    """Stand-in for ``cli.boundary_search`` that records its config and
+    takes ``delay`` seconds."""
 
     def search(family, n, config, seed, beta=None, jobs=1):
         calls.append(config)
+        time.sleep(delay)
         point = PointEstimate(avg_degree=5.0, mean=0.5, sem=0.01, sims=5, status="hit_tolerance")
         return SearchResult(k_star=5.0, status="tolerance", evaluations=[point])
 
@@ -284,6 +300,12 @@ class TestContract:
         out = tmp_path / command
         assert main([command] + flags + ["--out", str(out)]) == 0
         assert _parameters(out, triangle_file if command in NEEDS_INPUT else None) == expected
+
+    def test_duration_covers_the_command(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "boundary_search", _fake_search([], delay=0.2))
+        out = tmp_path / "slow"
+        assert main(["boundary", "--n-grid", "150", "--seed", "1", "--out", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["duration_seconds"] >= 0.2
 
     def test_artifact_keys(self, triangle_file, tmp_path):
         def run(argv, name):
