@@ -72,6 +72,12 @@ def lattice_degree(avg_degree: float) -> int:
     return max(2, 2 * math.floor(avg_degree / 2.0 + 0.5))
 
 
+def built_degree(family: str, avg_degree: float) -> float:
+    """Mean degree a spec of this family builds: the lattice degree for ws,
+    the target itself for er and rgg."""
+    return float(lattice_degree(avg_degree) if family == "ws" else avg_degree)
+
+
 def feasible(family: str, n: int, avg_degree: float) -> bool:
     """Whether a spec may ask for this mean degree: at most n - 1, and for ws
     a lattice degree below n."""

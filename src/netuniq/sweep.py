@@ -10,8 +10,10 @@ the target (success), or the simulation budget is exhausted while the
 interval still contains the target (confident success).
 
 All replicate seeds are substreams of the master seed hashed together with
-the cell coordinates, so results are reproducible and independent of
-worker scheduling.
+the size, the mean degree the model builds and the replicate index, so
+results are reproducible and independent of worker scheduling and of the
+order of the probes. For ws that degree is the even lattice degree, not the
+cell's k, so the k of one lattice step share their replicates.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import ndtri
 
-from .models import ModelSpec, feasible, generate, substream_seed
+from .models import ModelSpec, built_degree, feasible, generate, substream_seed
 from .uniqueness import neighborhood_uniqueness
 
 
@@ -67,7 +69,7 @@ class PointEstimate:
     avg_degree: float
     mean: float
     sem: float
-    sims: int
+    sims: int  # replicate values used, some possibly computed for an earlier probe
     status: str  # hit_tolerance | ci_converged | decided | undecided (endpoints)
 
 
@@ -117,23 +119,39 @@ def model_sampler(
     beta: float | None = None,
     jobs: int = 1,
 ) -> Sampler:
-    """Sampler drawing uniqueness values from fresh model realizations."""
+    """Sampler drawing uniqueness values from seeded model realizations.
+
+    Replicate ``rep`` at degree k is the model built at
+    :func:`models.built_degree` of k, so every ws k that rounds to one
+    lattice shares its replicates. The sampler keeps each value it has
+    computed and returns it again when asked, so a replicate is generated
+    and certified once per sampler.
+    """
+    values: dict[tuple[float, int], float] = {}
 
     def sample(avg_degree: float, count: int, offset: int) -> list[float]:
+        # raises on a degree a spec may not ask for, even if its lattice fits
+        ModelSpec(family, n, avg_degree, seed, beta)
+        degree = built_degree(family, avg_degree)
+        reps = range(offset, offset + count)
+        missing = [rep for rep in reps if (degree, rep) not in values]
         specs = [
             ModelSpec(
                 family=family,
                 n=n,
-                avg_degree=avg_degree,
-                seed=substream_seed(seed, family, beta, n, float(avg_degree), rep),
+                avg_degree=degree,
+                seed=substream_seed(seed, family, beta, n, degree, rep),
                 beta=beta,
             )
-            for rep in range(offset, offset + count)
+            for rep in missing
         ]
-        if jobs > 1 and count > 1:
-            with multiprocessing.Pool(min(jobs, count)) as pool:
-                return pool.map(_uniqueness_of_spec, specs)
-        return [_uniqueness_of_spec(s) for s in specs]
+        if jobs > 1 and len(specs) > 1:
+            with multiprocessing.Pool(min(jobs, len(specs))) as pool:
+                computed = pool.map(_uniqueness_of_spec, specs)
+        else:
+            computed = [_uniqueness_of_spec(s) for s in specs]
+        values.update(((degree, rep), v) for rep, v in zip(missing, computed))
+        return [values[degree, rep] for rep in reps]
 
     return sample
 
@@ -154,7 +172,10 @@ def uniqueness_at(
     beta: float | None = None,
     jobs: int = 1,
 ) -> tuple[float, float]:
-    """Mean and standard error of uniqueness over seeded replicates."""
+    """Mean and standard error of uniqueness over seeded replicates.
+
+    Two ws degrees with one lattice degree give the same estimate.
+    """
     if reps < 1:
         raise ValueError("reps must be >= 1")
     return _mean_sem(model_sampler(family, n, seed, beta, jobs)(avg_degree, reps, 0))
@@ -172,7 +193,8 @@ def uniqueness_map(
     """Mean uniqueness for every feasible (n, avg_degree) grid cell.
 
     Cells that :func:`models.feasible` rules out are recorded as skipped
-    rather than failing the whole sweep.
+    rather than failing the whole sweep. Each size has one sampler, so ws
+    cells of one lattice step are simulated once.
     """
     if not n_grid or not k_grid:
         raise ValueError("grids must be non-empty")
@@ -180,11 +202,12 @@ def uniqueness_map(
         raise ValueError("reps must be >= 1")
     cells = []
     for n in n_grid:
+        sample = model_sampler(family, n, seed, beta, jobs)
         for k in k_grid:
             if not feasible(family, n, float(k)):
                 cells.append(MapCell(n, float(k), math.nan, math.nan, 0, True))
                 continue
-            mean, sem = uniqueness_at(family, n, float(k), reps, seed, beta, jobs)
+            mean, sem = _mean_sem(sample(float(k), reps, 0))
             cells.append(MapCell(n, float(k), mean, sem, reps))
     return UniquenessMap(
         family=family,

@@ -7,16 +7,19 @@ import pytest
 from scipy.special import ndtri
 from scipy.stats import norm
 
-from netuniq.models import rng_from
+import netuniq.sweep as sweep
+from netuniq.models import ModelSpec, generate, rng_from, substream_seed
 from netuniq.sweep import (
     BracketingError,
     SearchConfig,
     boundary_search,
     boundary_search_fn,
     fit_boundary_line,
+    model_sampler,
     uniqueness_at,
     uniqueness_map,
 )
+from netuniq.uniqueness import neighborhood_uniqueness
 
 
 def step_sampler(threshold):
@@ -66,9 +69,71 @@ class TestUniquenessAt:
         a = uniqueness_at("er", 200, 6.0, reps=4, seed=3, jobs=1)
         b = uniqueness_at("er", 200, 6.0, reps=4, seed=3, jobs=2)
         assert a == b
+        # ws: the second probe lies in the first one's lattice step, so the
+        # pool computes only the reps the first probe left missing
+        serial, pooled = (model_sampler("ws", 200, 3, 0.5, jobs) for jobs in (1, 2))
+        assert serial(9.0, 4, 0) == pooled(9.0, 4, 0)
+        assert serial(10.5, 8, 0) == pooled(10.5, 8, 0)
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """Seeds of the specs the sampler generates, in call order."""
+    seeds = []
+
+    def counting(spec):
+        seeds.append(spec.seed)
+        return generate(spec)
+
+    monkeypatch.setattr(sweep, "generate", counting)
+    return seeds
+
+
+class TestModelSampler:
+    def test_ws_probe_in_a_seen_step_generates_nothing(self, generated):
+        sample = model_sampler("ws", 60, 9, 0.5)
+        first = sample(9.0, 5, 0)
+        assert len(generated) == 5
+        assert sample(10.75, 5, 0) == first
+        assert len(generated) == 5
+
+    def test_only_missing_reps_are_generated(self, generated):
+        sample = model_sampler("ws", 60, 9, 0.5)
+        sample(9.0, 5, 0)
+        del generated[:]
+        sample(10.5, 10, 0)
+        assert generated == [substream_seed(9, "ws", 0.5, 60, 10.0, rep) for rep in range(5, 10)]
+
+    def test_ws_values_do_not_depend_on_probe_order(self):
+        a = model_sampler("ws", 60, 9, 0.5)
+        a(9.0, 5, 0)
+        assert a(10.75, 5, 0) == model_sampler("ws", 60, 9, 0.5)(10.75, 5, 0)
+
+    @pytest.mark.parametrize("family", ["er", "rgg"])
+    def test_er_rgg_seed_hashes_the_asked_degree(self, family):
+        n, k, seed = 80, 6.5, 11
+        expected = [
+            neighborhood_uniqueness(
+                generate(
+                    ModelSpec(family, n, k, seed=substream_seed(seed, family, None, n, float(k), rep))
+                )
+            )
+            for rep in range(3)
+        ]
+        assert model_sampler(family, n, seed)(k, 3, 0) == expected
+
+    def test_infeasible_degree_raises(self):
+        # k=10.5 exceeds n - 1 although its lattice degree 10 would fit
+        with pytest.raises(ValueError):
+            model_sampler("ws", 11, 1, 0.5)(10.5, 2, 0)
 
 
 class TestUniquenessMap:
+    def test_ws_cells_of_one_step_share_replicates(self, generated):
+        m = uniqueness_map("ws", [60], [11.0, 12.0], 3, 4, beta=0.5)
+        assert len(generated) == 3
+        assert m.cells[0].mean == m.cells[1].mean
+
     def test_edgeless_cell(self):
         m = uniqueness_map("er", [100], [0.0], reps=3, seed=4)
         assert m.cells[0].mean == 0.0
