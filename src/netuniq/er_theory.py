@@ -91,7 +91,6 @@ def expected_nonempty_fraction(n: int, avg_degree: float) -> float:
 class ErCurve:
     """Closed-form curves sampled over a grid of mean degrees."""
 
-    n: int
     avg_degrees: list[float]
     degree_uniqueness: list[float]
     nonempty_fraction: list[float]
@@ -107,7 +106,6 @@ def er_curve(n: int, avg_degrees=None) -> ErCurve:
         avg_degrees = list(range(0, min(100, n - 1) + 1))
     ks = [float(k) for k in avg_degrees]
     return ErCurve(
-        n=n,
         avg_degrees=ks,
         degree_uniqueness=[expected_degree_uniqueness(n, k) for k in ks],
         nonempty_fraction=[expected_nonempty_fraction(n, k) for k in ks],

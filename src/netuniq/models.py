@@ -149,12 +149,7 @@ def gen_ws(spec: ModelSpec) -> Graph:
     beta = float(spec.beta if spec.beta is not None else 0.0)
     rng = rng_from(spec.seed, "ws", n, float(spec.avg_degree), beta)
 
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for j in range(1, K // 2 + 1):
-        for u in range(n):
-            v = (u + j) % n
-            adj[u].add(v)
-            adj[v].add(u)
+    adj = [{(u + j) % n for j in range(-(K // 2), K // 2 + 1) if j} for u in range(n)]
 
     if beta > 0.0:
         for j in range(1, K // 2 + 1):

@@ -81,8 +81,6 @@ class SamplingReportRow:
 class SamplingReport:
     """Per-rate effect of sampling on uniqueness and estimator accuracy."""
 
-    mode: str
-    seed: int
     rows: list[SamplingReportRow] = field(default_factory=list)
 
 
@@ -112,7 +110,8 @@ def sampling_report(
             rate=s, mode=mode, seed=substream_seed(seed, "report-rate", s)
         )
         sampled = sample_edges(g, plan)
-        degree_error = float(np.abs(np.diff(sampled.indptr) / s - true_degrees).mean())
+        observed = np.diff(sampled.indptr)
+        degree_error = float(np.abs(estimate_degree(observed, s) - true_degrees).mean())
         triangle_error = abs(estimate_triangles(triangle_count(sampled), s) - true_triangles)
         rows.append(
             SamplingReportRow(
@@ -123,4 +122,4 @@ def sampling_report(
                 triangle_error=triangle_error,
             )
         )
-    return SamplingReport(mode=mode, seed=seed, rows=rows)
+    return SamplingReport(rows)

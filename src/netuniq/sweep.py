@@ -54,6 +54,8 @@ class SearchConfig:
             raise ValueError("tolerance must be positive")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
+        if self.max_sims < self.batch_size:
+            raise ValueError("max_sims must be >= batch_size")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must lie in (0, 1)")
         if self.k_lo >= self.k_hi:
@@ -96,12 +98,6 @@ class MapCell:
 
 @dataclass(frozen=True)
 class UniquenessMap:
-    family: str
-    beta: float | None
-    n_grid: list[int]
-    k_grid: list[float]
-    reps: int
-    seed: int
     cells: list[MapCell] = field(default_factory=list)
 
 
@@ -209,15 +205,7 @@ def uniqueness_map(
                 continue
             mean, sem = _mean_sem(sample(float(k), reps, 0))
             cells.append(MapCell(n, float(k), mean, sem, reps))
-    return UniquenessMap(
-        family=family,
-        beta=beta,
-        n_grid=list(n_grid),
-        k_grid=[float(k) for k in k_grid],
-        reps=reps,
-        seed=seed,
-        cells=cells,
-    )
+    return UniquenessMap(cells)
 
 
 def _estimate_point(
@@ -247,33 +235,24 @@ def boundary_search_fn(sample: Sampler, config: SearchConfig) -> SearchResult:
     """Stochastic binary search over an abstract uniqueness sampler.
 
     The sampler must be (stochastically) nondecreasing in mean degree over
-    the configured interval.
+    the configured interval. Each endpoint gets one batch; the search stops
+    at the first that lands within tolerance, and otherwise requires
+    ``mean(k_lo) < target < mean(k_hi)``, raising :class:`BracketingError`
+    when the endpoints are both above, both below, or falling across it.
     """
     z = float(ndtri(0.5 + config.confidence / 2.0))
     evaluations: list[PointEstimate] = []
 
-    # endpoints get one batch each, to verify bracketing before recursing
-    lo_pt = _estimate_point(sample, config.k_lo, config, z, extend=False)
-    evaluations.append(lo_pt)
-    if lo_pt.status == "hit_tolerance":
-        return SearchResult(config.k_lo, "tolerance", evaluations)
-    hi_pt = _estimate_point(sample, config.k_hi, config, z, extend=False)
-    evaluations.append(hi_pt)
-    if hi_pt.status == "hit_tolerance":
-        return SearchResult(config.k_hi, "tolerance", evaluations)
-    if lo_pt.mean > config.target and hi_pt.mean > config.target:
+    for k in (config.k_lo, config.k_hi):
+        pt = _estimate_point(sample, k, config, z, extend=False)
+        evaluations.append(pt)
+        if pt.status == "hit_tolerance":
+            return SearchResult(k, "tolerance", evaluations)
+    lo_mean, hi_mean = evaluations[0].mean, evaluations[1].mean
+    if not lo_mean < config.target < hi_mean:
         raise BracketingError(
-            f"both endpoints above target {config.target}: "
-            f"{lo_pt.mean:.4f}, {hi_pt.mean:.4f}"
-        )
-    if lo_pt.mean < config.target and hi_pt.mean < config.target:
-        raise BracketingError(
-            f"both endpoints below target {config.target}: "
-            f"{lo_pt.mean:.4f}, {hi_pt.mean:.4f}"
-        )
-    if lo_pt.mean > hi_pt.mean:
-        raise BracketingError(
-            "uniqueness decreases across the interval; expected nondecreasing"
+            f"uniqueness must rise across target {config.target}: "
+            f"{lo_mean:.4f} at k_lo, {hi_mean:.4f} at k_hi"
         )
 
     lo, hi = config.k_lo, config.k_hi
@@ -308,7 +287,6 @@ def boundary_search(
 class BoundaryFit:
     """Least-squares line through boundary points in log-log coordinates."""
 
-    points: tuple[tuple[float, float], ...]
     slope: float
     intercept: float
     residuals: list[float]
@@ -330,10 +308,10 @@ def fit_boundary_line(points: Sequence[tuple[float, float]]) -> BoundaryFit:
         raise ValueError("need at least 3 points to fit the boundary line")
     if any(n <= 0 or k <= 0 for n, k in points):
         raise ValueError("all boundary points must be positive")
-    pts = tuple(sorted((float(n), float(k)) for n, k in points))
+    pts = sorted((float(n), float(k)) for n, k in points)
     x = np.log([p[0] for p in pts])
     y = np.log([p[1] for p in pts])
     coeffs = np.polyfit(x, y, 1)
     slope, intercept = float(coeffs[0]), float(coeffs[1])
     residuals = (y - (slope * x + intercept)).tolist()
-    return BoundaryFit(points=pts, slope=slope, intercept=intercept, residuals=residuals)
+    return BoundaryFit(slope=slope, intercept=intercept, residuals=residuals)

@@ -170,6 +170,18 @@ class TestBoundaryCommand:
         fit = json.loads((a / "fit.json").read_text())
         assert set(fit) >= {"m", "c", "residuals"}
 
+    def test_max_sims_below_batch_is_an_error(self, capsys):
+        argv = ["boundary", "--n-grid", "150", "--max-sims", "3", "--seed", "1"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: max_sims")
+
+    def test_non_bracketing_interval_is_an_error(self, capsys):
+        argv = ["boundary", "--model", "er", "--n-grid", "50", "--k-lo", "1", "--k-hi", "2",
+                "--seed", "1"]
+        assert main(argv) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and "0.0080 at k_lo, 0.0680 at k_hi" in line
+
 
 class TestSampleCommand:
     def test_provenance_and_determinism(self, triangle_file, tmp_path):

@@ -48,6 +48,8 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(batch_size=1)
         with pytest.raises(ValueError):
+            SearchConfig(batch_size=5, max_sims=3)
+        with pytest.raises(ValueError):
             SearchConfig(k_lo=5.0, k_hi=5.0)
 
 
@@ -196,15 +198,24 @@ class TestBoundarySearch:
         )
         assert all(pt.sims <= 30 for pt in res.evaluations)
 
+    def test_endpoint_within_tolerance_ends_the_search(self):
+        # k_lo is probed first, so it wins when both endpoints are within tolerance
+        for lo, k_star, probed in [(0.51, 1.0, [1.0]), (0.1, 10.0, [1.0, 10.0])]:
+            def sample(k, count, offset):
+                return [lo if k == 1.0 else 0.49] * count
+
+            res = boundary_search_fn(sample, SearchConfig(k_lo=1.0, k_hi=10.0))
+            assert (res.k_star, res.status) == (k_star, "tolerance")
+            assert [pt.avg_degree for pt in res.evaluations] == probed
+
     def test_non_bracketing_raises(self):
-        with pytest.raises(BracketingError):
-            boundary_search_fn(
-                lambda k, c, o: [0.9] * c, SearchConfig(k_lo=1.0, k_hi=10.0)
-            )
-        with pytest.raises(BracketingError):
-            boundary_search_fn(
-                lambda k, c, o: [0.1] * c, SearchConfig(k_lo=1.0, k_hi=10.0)
-            )
+        # both above, both below, and falling across the target
+        for lo, hi in [(0.9, 0.9), (0.1, 0.1), (0.9, 0.1)]:
+            def sample(k, count, offset):
+                return [lo if k == 1.0 else hi] * count
+
+            with pytest.raises(BracketingError, match=f"{lo:.4f} at k_lo, {hi:.4f} at k_hi"):
+                boundary_search_fn(sample, SearchConfig(k_lo=1.0, k_hi=10.0))
 
     def test_er_matches_dense_sweep(self):
         # independent oracle: locate the crossing on a fine fixed grid
