@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 
 def _check_params(n: int, avg_degree: float) -> float:
@@ -26,6 +25,10 @@ def degree_pmf(n: int, avg_degree: float) -> np.ndarray:
 
     Terms are accumulated through log-gamma, never factorial ratios.
     """
+    # imported here: scipy is the package's costliest import and only the
+    # closed-form curves need it
+    from scipy.special import gammaln
+
     p = _check_params(n, avg_degree)
     trials = n - 1
     out = np.zeros(n)

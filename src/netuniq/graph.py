@@ -24,7 +24,8 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-# Wedges one pass of the triangle kernel holds at most: bounds its memory.
+# Wedges one pass of the triangle kernel holds at most, and candidate pairs one
+# pass of models._pairs_within: bounds their memory.
 _WEDGE_BLOCK = 1 << 16
 
 

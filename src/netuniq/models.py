@@ -23,8 +23,11 @@ from itertools import chain
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+# numpy loads numpy.random on first use; importing it here keeps that load out
+# of the first generator call
+from numpy.random import PCG64, Generator
 
-from .graph import Graph
+from .graph import _WEDGE_BLOCK, Graph
 
 FAMILIES = ("er", "ws", "rgg")
 
@@ -35,8 +38,8 @@ def substream_seed(master: int, *tags) -> int:
     return int.from_bytes(blake2b(payload, digest_size=8).digest(), "big")
 
 
-def rng_from(master: int, *tags) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(substream_seed(master, *tags)))
+def rng_from(master: int, *tags) -> Generator:
+    return Generator(PCG64(substream_seed(master, *tags)))
 
 
 @dataclass(frozen=True)
@@ -242,24 +245,69 @@ def calibrated_radius(n: int, avg_degree: float) -> float:
             hi = mid
 
 
+def _pairs_within(pts: np.ndarray, r: float) -> np.ndarray:
+    """Index pairs (i, j), i < j, of the 2-d points at distance <= r.
+
+    The points are binned in a side x side grid of square cells at least r
+    wide, side at most sqrt(n) so the cells number O(n), and sorted by cell,
+    column by column. A point's partners within r then lie in two runs of
+    the sorted order: the rest of its own cell with the cell above it, and
+    the three touching cells of the next column. A candidate pair is kept
+    when dx*dx + dy*dy <= r*r in float64, the test scipy's cKDTree makes.
+    Candidates are built in blocks of at most ``_WEDGE_BLOCK``, or of one
+    run when a run alone is longer, so the transient arrays stay bounded as
+    r grows.
+    """
+    n = len(pts)
+    # the factor keeps cells wider than r when pts * side rounds to a neighbor
+    side = max(1, min(math.isqrt(n), int(1.0 / (r * 1.000001))))
+    cx, cy = np.minimum((pts * side).astype(np.int64), side - 1).T
+    cell = cx * side + cy
+    order = np.argsort(cell)
+    cell, row, x, y = cell[order], cy[order], pts[order, 0], pts[order, 1]
+    # one empty column past the last, so the next-column run of the last
+    # column indexes cells that hold no point
+    counts = np.bincount(cell, minlength=side * side + side + 1)
+    ends = np.cumsum(counts)
+    up = (row < side - 1).astype(np.int64)
+    down = (row > 0).astype(np.int64)
+    run_lo = np.stack((np.arange(1, n + 1), (ends - counts)[cell + side - down]), axis=1)
+    run_hi = np.stack((ends[cell + up], ends[cell + side + up]), axis=1)
+    run_lo, run_len = run_lo.ravel(), (run_hi - run_lo).ravel()
+    run_end = np.cumsum(run_len)
+    total = int(run_end[-1])
+    found = [np.zeros((0, 2), np.int64)]
+    lo = done = 0
+    while done < total:
+        hi = max(int(np.searchsorted(run_end, done + _WEDGE_BLOCK, "right")), lo + 1)
+        count = run_len[lo:hi]
+        # run t belongs to the point at sorted position t // 2
+        a = np.repeat(np.arange(lo, hi) // 2, count)
+        b = np.arange(done, int(run_end[hi - 1]))
+        b += np.repeat(run_lo[lo:hi] - (run_end[lo:hi] - count), count)
+        dx, dy = x[a] - x[b], y[a] - y[b]
+        near = dx * dx + dy * dy <= r * r
+        i, j = order[a[near]], order[b[near]]
+        found.append(np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1))
+        lo, done = hi, int(run_end[hi - 1])
+    return np.concatenate(found)
+
+
 def gen_rgg(spec: ModelSpec) -> Graph:
     """Soft random geometric graph on n uniform points in the unit square.
 
     A pair at distance d <= r is connected with probability exp(-3d/r), and
     r is :func:`calibrated_radius`, at which the expected mean degree equals
-    the target exactly.
+    the target exactly. The pairs within r come from the cell grid of
+    :func:`_pairs_within`, ordered by (i, j) before the acceptance draws.
     """
-    # imported here: scipy.spatial is the package's costliest import and only
-    # this generator needs it
-    from scipy.spatial import cKDTree
-
     n = spec.n
     if spec.avg_degree <= 0.0 or n < 2:
         return Graph.from_edges(n, [])
     r = calibrated_radius(n, spec.avg_degree)
     rng = rng_from(spec.seed, "rgg", n, float(spec.avg_degree))
     pts = rng.random((n, 2))
-    pairs = cKDTree(pts).query_pairs(r, output_type="ndarray")
+    pairs = _pairs_within(pts, r)
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     pairs = pairs[order]
     d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)

@@ -395,15 +395,45 @@ class TestUsage:
         assert "--out" in capsys.readouterr().out
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # scipy.stats costs most of a CLI start; the boundary search needs only
-    # ndtri, the RGG calibration neither a root finder nor an integrator, and
-    # only RGG generation builds a KD-tree
+def run_fresh(code):
+    """Run python code in a fresh interpreter that imports this package; its stdout."""
     src = str(Path(netuniq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    heavy = ["scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.spatial"]
-    code = f"import sys, netuniq.cli; print([m for m in {heavy!r} if m in sys.modules])"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # scipy costs most of a CLI start: the boundary search takes its normal
+    # quantile from the standard library, RGG generation finds close pairs
+    # with its own cell grid, and only er-curve loads scipy.special. The
+    # import loads numpy.random, so the first generator call does not.
+    code = f"import sys, netuniq.cli; print({SCIPY_LOADED}, 'numpy.random' in sys.modules)"
+    assert run_fresh(code) == "[] True"
+
+
+def test_only_er_curve_loads_scipy(tmp_path):
+    out = str(tmp_path)
+    code = f"""
+import sys
+from netuniq.cli import main
+commands = [
+    ["generate", "--model", "rgg", "--n", "200", "--k", "6", "--seed", "1"],
+    ["map", "--model", "ws", "--beta", "0.2", "--n-grid", "40", "--k-grid", "4",
+     "--reps", "2", "--seed", "1"],
+    ["boundary", "--model", "er", "--n-grid", "150", "--seed", "3"],
+    ["sampling-report", "--input", {out!r} + "/0/edges.txt", "--rates", "1.0,0.5",
+     "--seed", "4"],
+]
+for i, argv in enumerate(commands):
+    assert main(argv + ["--out", {out!r} + "/" + str(i)]) == 0
+print({SCIPY_LOADED})
+assert main(["er-curve", "--n", "50", "--k-grid", "1,2", "--out", {out!r} + "/curve"]) == 0
+print("scipy.special" in sys.modules)
+"""
+    assert run_fresh(code).splitlines() == ["[]", "True"]

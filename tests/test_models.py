@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from netuniq.models import (
     ModelSpec,
     _edge_probability,
     _pair_index_to_edge,
+    _pairs_within,
     calibrated_radius,
     feasible,
     gen_er,
@@ -313,6 +315,53 @@ class TestRandomGeometric:
     def test_zero_degree(self):
         g = gen_rgg(ModelSpec("rgg", 30, 0.0, seed=0))
         assert g.m == 0
+
+
+def sorted_pairs(pairs):
+    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+
+
+def assert_pairs_match_kdtree(pts, r):
+    got = _pairs_within(pts, r)
+    assert got.shape[1] == 2 and np.all(got[:, 0] < got[:, 1])
+    want = cKDTree(pts).query_pairs(r, output_type="ndarray")
+    np.testing.assert_array_equal(sorted_pairs(got), sorted_pairs(want))
+
+
+class TestPairsWithin:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_clouds_match_kdtree(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 3000))
+        k = float(rng.uniform(0.1, min(n - 1, 200)))
+        assert_pairs_match_kdtree(rng.random((n, 2)), calibrated_radius(n, k))
+
+    @pytest.mark.parametrize("n,r", [(2, 0.5), (2, math.inf), (300, 1.5), (300, math.inf)])
+    def test_wide_radius_and_two_points(self, n, r):
+        assert_pairs_match_kdtree(np.random.default_rng(n).random((n, 2)), r)
+
+    @pytest.mark.parametrize(
+        "r", [1 / 16, 2 / 16, math.sqrt(2) / 16, 0.3, 1.0, 1.5, math.inf]
+    )
+    def test_lattice_ties_match_kdtree(self, r):
+        # a 17 x 17 lattice of step 1/16 puts many pairs exactly at distance r
+        g = np.arange(17) / 16.0
+        assert_pairs_match_kdtree(np.stack(np.meshgrid(g, g), axis=-1).reshape(-1, 2), r)
+
+    def test_tiny_radius_keeps_cells_bounded_by_n(self):
+        # at k = 0.01 cells r wide would number about 1.1 million, 56 per point;
+        # capping the grid at n cells keeps the peak to the candidate blocks
+        n = 20000
+        pts = np.random.default_rng(7).random((n, 2))
+        r = calibrated_radius(n, 0.01)
+        tracemalloc.start()
+        try:
+            _pairs_within(pts, r)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * n
+        assert_pairs_match_kdtree(pts, r)
 
 
 def test_single_node_graphs():

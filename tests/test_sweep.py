@@ -1,6 +1,7 @@
 """Uniqueness maps, the stochastic binary search, and boundary fits."""
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -282,3 +283,11 @@ def test_ndtri_is_the_normal_quantile(confidence):
     # the search's z for a confidence must not move with the quantile function
     q = 0.5 + confidence / 2.0
     assert ndtri(q) == norm.ppf(q)
+
+
+@pytest.mark.parametrize("confidence", [0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.999999])
+def test_search_quantile_matches_ndtri(confidence):
+    # the search takes z from the standard library; it may differ from ndtri
+    # only in the last few bits
+    q = 0.5 + confidence / 2.0
+    assert abs(NormalDist().inv_cdf(q) - ndtri(q)) <= 5 * 2.0**-52 * abs(ndtri(q))
