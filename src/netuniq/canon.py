@@ -20,7 +20,7 @@ generates (node neighborhoods up to about a thousand nodes).
 Isolated nodes are counted, not explored: each is a one-node part of the
 union, and a connected graph is never relabeled. Refinement starts from
 the degree cells, stops once the partition is discrete or a pass splits
-nothing, and orders sub-cells by their neighbor-count signature, so it is
+nothing, and orders sub-cells by their neighbors' sorted cells, so it is
 isomorphism-invariant. The one cache is a bounded ``functools.lru_cache``
 over the certificates of components of at most ``_COMPONENT_CACHE_NODES``
 nodes, keyed by exact relabeled edge tuples, so a hit is trivially sound.
@@ -156,21 +156,14 @@ def _components(
     return [(k, tuple(sub)) for k, sub in zip(size, subs)]
 
 
-def _count_signature(neighbor_cells: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """(cell, neighbor count) pairs of a sorted tuple of neighbor cells."""
-    counts: dict[int, int] = {}
-    for c in neighbor_cells:
-        counts[c] = counts.get(c, 0) + 1
-    return tuple(counts.items())
-
-
 def _refine(adj: list[list[int]], cells: list[list[int]]) -> list[list[int]]:
     """Coarsest equitable refinement; cell order is isomorphism-invariant.
 
-    Cells split in place, sub-cells ordered by their neighbor-count
-    signature, so positions of already-discrete cells never change. Nodes
-    are grouped by the sorted cells of their neighbors, equal exactly when
-    the signatures are.
+    Nodes of a cell are grouped by the sorted tuple of their neighbors'
+    cells, and the cell splits in place into its groups in key order, so
+    positions of already-discrete cells never change. Every node of a cell
+    has the same degree (cells start as degree cells and only split), so
+    the keys of one cell are tuples of one length, totally ordered.
     """
     n = len(adj)
     vcell = [0] * n
@@ -191,7 +184,7 @@ def _refine(adj: list[list[int]], cells: list[list[int]]) -> list[list[int]]:
             if len(groups) == 1:
                 new_cells.append(cell)
             else:
-                for key in sorted(groups, key=_count_signature):
+                for key in sorted(groups):
                     new_cells.append(groups[key])
         if len(new_cells) == len(cells):
             break

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import secrets
 import sys
 import time
@@ -174,13 +173,6 @@ def _beta(p: dict) -> float | None:
     return float(p["beta"]) if p["beta"] is not None else None
 
 
-def _jobs(value) -> int:
-    if value is not None:
-        return max(1, int(value))
-    env = os.environ.get("NETUNIQ_JOBS")
-    return max(1, int(env)) if env else 1
-
-
 def _cmd_analyze(p: dict) -> dict:
     g = _input_graph(p)
     payload = asdict(summary_stats(g))
@@ -215,7 +207,7 @@ def _cmd_map(p: dict) -> dict:
     result = uniqueness_map(
         family=p["model"],
         beta=_beta(p),
-        jobs=_jobs(p["jobs"]),
+        jobs=int(p["jobs"]),
         n_grid=_parse_grid(p["n_grid"], integer=True),
         k_grid=_parse_grid(p["k_grid"]),
         reps=int(p["reps"]),
@@ -229,7 +221,7 @@ def _cmd_map(p: dict) -> dict:
 
 
 def _cmd_boundary(p: dict) -> dict:
-    beta, jobs = _beta(p), _jobs(p["jobs"])
+    beta, jobs = _beta(p), int(p["jobs"])
     default = SearchConfig()
     config = SearchConfig(
         **{f: type(getattr(default, f))(p[opt]) for opt, f in _SEARCH_OPTIONS.items()}
@@ -279,7 +271,7 @@ _SHARED_OPTIONS = {
     "n": (1000, {"type": int}),
     "mode": ("bernoulli", {"choices": MODES}),
     "seed": (None, {"type": int}),
-    "jobs": (None, {"type": int}),
+    "jobs": (1, {"type": int}),
 }
 
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from netuniq import canon
 from netuniq.canon import certificate, certificate_from_edges
 from netuniq.graph import Graph
-from netuniq.uniqueness import neighborhood_certificates
+from netuniq.uniqueness import neighborhood_certificates, occurrence_frequencies
 from reference import are_isomorphic_oracle, relabel
 
 
@@ -387,18 +387,32 @@ def seeded_ring():
 
 
 @pytest.mark.parametrize(
-    "build,digest",
+    "build,digest,partition",
     [
-        (seeded_er, "8515d22d029ea5b208f86ec762219e1e16c68eb8d7e4d22f7a3a88201f4dd3e1"),
-        (seeded_geometric, "1da5b141c31593d9fc443cfdeaad83d2d0e52bcb99e21423b45a649e71ee2ec1"),
-        (seeded_ring, "94faa22fe09d17dbf783c2f0f15ca25ffce10744d5e635f01ecffe36ca38bbba"),
+        (
+            seeded_er,
+            "0d7735dd087e85c57b744a1c4409f3a8ad4fe880fefaa5793f27bf39e9dd67a8",
+            "f9fab45643b60c5ce445ccc4a633f3713d694523f544258507c349f8f7555f72",
+        ),
+        (
+            seeded_geometric,
+            "9f95081e9573cdd8e5713fc712829fd3a4b957645ac9f9958adfe2d808a898db",
+            "2c64bae77417daa889e87c239e110759ac3bc593da5b0e9ac279608a40d59bd0",
+        ),
+        (
+            seeded_ring,
+            "7dd3234a53a0c7951ce3464e26e9af4249b87838004fe4bd9851de33769f1e9c",
+            "10e7d84a6fb1fb337435087a93677cf0fe1cba8cbc76338409dec8e59beb047e",
+        ),
     ],
     ids=["er", "geometric", "ring"],
 )
-def test_neighborhood_certificate_bytes_pinned(build, digest):
-    # the encoding is a contract: any change to the bytes of any part shows here
-    certs = neighborhood_certificates(build())
-    assert hashlib.sha256(b"".join(certs)).hexdigest() == digest
+def test_neighborhood_certificate_bytes_pinned(build, digest, partition):
+    # the encoding is a contract: any change to the bytes of any part shows
+    # here; the partition pin does not move when only the encoding changes
+    g = build()
+    assert hashlib.sha256(b"".join(neighborhood_certificates(g))).hexdigest() == digest
+    assert hashlib.sha256(repr(occurrence_frequencies(g)).encode()).hexdigest() == partition
 
 
 def test_module_state_stays_bounded():

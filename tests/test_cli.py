@@ -152,6 +152,19 @@ class TestMapCommand:
         header = (a / "map.csv").read_text().splitlines()[0]
         assert header == "n,avg_k,mean_uniqueness,sem,reps"
 
+    def test_jobs_from_flag_and_config(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": 2}))
+        args = ["map", "--model", "er", "--n-grid", "60", "--k-grid", "4,8", "--reps", "3",
+                "--seed", "5"]
+        runs = {"default": [], "flag": ["--jobs", "2"], "config": ["--config", str(cfg)]}
+        for name, extra in runs.items():
+            assert main(args + extra + ["--out", str(tmp_path / name)]) == 0
+        assert {name: _parameters(tmp_path / name)["jobs"] for name in runs} == {
+            "default": 1, "flag": 2, "config": 2}
+        maps = {read(tmp_path / name / "map.csv") for name in runs}
+        assert len(maps) == 1
+
 
 class TestBoundaryCommand:
     def test_csv_and_fit(self, tmp_path):
@@ -280,12 +293,12 @@ CONTRACT = {
     ),
     "map": (
         ["--model", "er", "--n-grid", "30", "--k-grid", "2", "--reps", "2", "--seed", "1"],
-        {"beta": None, "jobs": None, "k_grid": "2", "model": "er", "n_grid": "30",
+        {"beta": None, "jobs": 1, "k_grid": "2", "model": "er", "n_grid": "30",
          "out": "OUT", "reps": 2, "seed": 1},
     ),
     "boundary": (
         ["--n-grid", "150", "--seed", "3"],
-        {"batch": 5, "beta": None, "confidence": 0.99, "jobs": None, "k_hi": 100.0,
+        {"batch": 5, "beta": None, "confidence": 0.99, "jobs": 1, "k_hi": 100.0,
          "k_lo": 1.0, "max_sims": 30, "min_width": 0.05, "model": "er", "n_grid": "150",
          "out": "OUT", "seed": 3, "target": 0.5, "tol": 0.02},
     ),
