@@ -2,12 +2,15 @@
 
 Expected degree uniqueness and expected fraction of non-empty
 neighborhoods as functions of (n, mean degree), evaluated in log space so
-they stay finite up to n in the tens of thousands.
+they stay finite up to n in the tens of thousands. The log-factorials come
+from `math.lgamma`, one table per n.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -20,15 +23,19 @@ def _check_params(n: int, avg_degree: float) -> float:
     return avg_degree / (n - 1)
 
 
+@lru_cache(maxsize=1)
+def _log_factorials(n: int) -> np.ndarray:
+    """log k! for k = 0..n-1, read-only."""
+    table = np.fromiter(map(math.lgamma, range(1, n + 1)), np.float64, n)
+    table.flags.writeable = False
+    return table
+
+
 def degree_pmf(n: int, avg_degree: float) -> np.ndarray:
     """Binomial(n-1, k/(n-1)) probability of each degree 0..n-1.
 
-    Terms are accumulated through log-gamma, never factorial ratios.
+    Terms are accumulated through log-factorials, never factorial ratios.
     """
-    # imported here: scipy is the package's costliest import and only the
-    # closed-form curves need it
-    from scipy.special import gammaln
-
     p = _check_params(n, avg_degree)
     trials = n - 1
     out = np.zeros(n)
@@ -39,10 +46,11 @@ def degree_pmf(n: int, avg_degree: float) -> np.ndarray:
         out[trials] = 1.0
         return out
     k = np.arange(n, dtype=np.float64)
+    lf = _log_factorials(n)
     log_pmf = (
-        gammaln(trials + 1)
-        - gammaln(k + 1)
-        - gammaln(trials - k + 1)
+        lf[-1]
+        - lf
+        - lf[::-1]
         + k * np.log(p)
         + (trials - k) * np.log1p(-p)
     )
@@ -86,7 +94,8 @@ def expected_nonempty_fraction(n: int, avg_degree: float) -> float:
     k = np.arange(n, dtype=np.float64)
     pairs = k * (k - 1) / 2.0
     prob = -np.expm1(pairs * np.log1p(-p))
-    return float(np.sum(prob * pmf))
+    # the pmf sums to 1 only up to rounding, which can carry the mean past 1
+    return min(1.0, float(np.sum(prob * pmf)))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from netuniq.er_theory import (
     argmax_degree_uniqueness,
@@ -59,6 +60,15 @@ class TestDegreePmf:
     def test_sums_to_one(self, n, k):
         assert abs(degree_pmf(n, k).sum() - 1.0) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "n,k",
+        [(n, k) for n in (50, 1000, 10000, 50000) for k in (1, 10, 32, 64, n / 2) if k <= n - 1],
+    )
+    def test_matches_scipy_binomial(self, n, k):
+        ref = binom.pmf(np.arange(n), n - 1, k / (n - 1))
+        big = ref > 1e-200
+        np.testing.assert_allclose(degree_pmf(n, float(k))[big], ref[big], rtol=1e-9, atol=0)
+
     def test_degenerate_endpoints(self):
         pmf = degree_pmf(50, 0.0)
         assert pmf[0] == 1.0 and pmf[1:].sum() == 0.0
@@ -94,6 +104,11 @@ class TestNonemptyFractionForm:
     def test_complete(self):
         assert expected_nonempty_fraction(10, 9.0) == 1.0
         assert expected_nonempty_fraction(2, 1.0) == 0.0
+
+    @pytest.mark.parametrize("n,k", [(17, 15.0), (23, 20.0), (50, 36.0), (10000, 100.0)])
+    def test_never_above_one(self, n, k):
+        # the pmf's rounding carried these past 1
+        assert expected_nonempty_fraction(n, k) <= 1.0
 
     def test_simulation_agreement(self):
         n, reps = 1000, 10
