@@ -175,9 +175,12 @@ def _beta(p: dict) -> float | None:
 
 def _cmd_analyze(p: dict) -> dict:
     g = _input_graph(p)
-    payload = asdict(summary_stats(g))
-    payload.update(uniqueness_report(g).to_dict(include_per_node=bool(p["per_node"])))
-    if p["per_node"] and g.labels:
+    payload = {**asdict(summary_stats(g)), **asdict(uniqueness_report(g))}
+    # JSON keys are strings; convert here so they sort as strings
+    payload["nonempty_by_degree"] = {str(d): f for d, f in payload["nonempty_by_degree"].items()}
+    if not p["per_node"]:
+        del payload["occurrence"]
+    elif g.labels:
         payload["labels"] = g.labels
     if p["format"] == "csv":
         return {"analysis.csv": _csv(_ANALYSIS_CSV, [[payload[f] for f in _ANALYSIS_CSV]])}

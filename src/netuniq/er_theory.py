@@ -57,16 +57,26 @@ def degree_pmf(n: int, avg_degree: float) -> np.ndarray:
     return np.exp(log_pmf)
 
 
+def _degree_uniqueness(pmf: np.ndarray) -> float:
+    with np.errstate(divide="ignore"):
+        log_none_else = (len(pmf) - 1) * np.log1p(-pmf)
+    return float(np.sum(pmf * np.exp(log_none_else)))
+
+
 def expected_degree_uniqueness(n: int, avg_degree: float) -> float:
     """Expected fraction of nodes whose degree no other node shares.
 
     Sum over degrees of p_k (1 - p_k)^(n-1), with the power computed as
     exp((n-1) log1p(-p_k)) since p_k underflows toward 0 or 1.
     """
-    pmf = degree_pmf(n, avg_degree)
-    with np.errstate(divide="ignore"):
-        log_none_else = (n - 1) * np.log1p(-pmf)
-    return float(np.sum(pmf * np.exp(log_none_else)))
+    return _degree_uniqueness(degree_pmf(n, avg_degree))
+
+
+def _nonempty_given_degree(p: float, k):
+    """1 - (1-p)^C(k,2), and 0 where C(k,2) = 0: at p = 1 the log form reads 0 * -inf."""
+    pairs = k * (k - 1) / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(pairs > 0, -np.expm1(pairs * np.log1p(-p)), 0.0)
 
 
 def nonempty_probability_given_degree(p: float, k: int) -> float:
@@ -75,27 +85,18 @@ def nonempty_probability_given_degree(p: float, k: int) -> float:
         raise ValueError("p must lie in [0, 1]")
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k <= 1 or p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0
-    pairs = k * (k - 1) / 2.0
-    return float(-np.expm1(pairs * np.log1p(-p)))
+    return float(_nonempty_given_degree(p, k))
+
+
+def _nonempty_fraction(p: float, pmf: np.ndarray) -> float:
+    prob = _nonempty_given_degree(p, np.arange(len(pmf), dtype=np.float64))
+    # the pmf sums to 1 only up to rounding, which can carry the mean past 1
+    return min(1.0, float(np.sum(prob * pmf)))
 
 
 def expected_nonempty_fraction(n: int, avg_degree: float) -> float:
     """Expected fraction of non-empty neighborhoods over the degree law."""
-    p = _check_params(n, avg_degree)
-    if p == 0.0:
-        return 0.0
-    if p == 1.0:
-        return 1.0 if n >= 3 else 0.0
-    pmf = degree_pmf(n, avg_degree)
-    k = np.arange(n, dtype=np.float64)
-    pairs = k * (k - 1) / 2.0
-    prob = -np.expm1(pairs * np.log1p(-p))
-    # the pmf sums to 1 only up to rounding, which can carry the mean past 1
-    return min(1.0, float(np.sum(prob * pmf)))
+    return _nonempty_fraction(_check_params(n, avg_degree), degree_pmf(n, avg_degree))
 
 
 @dataclass(frozen=True)
@@ -116,11 +117,12 @@ def er_curve(n: int, avg_degrees=None) -> ErCurve:
     if avg_degrees is None:
         avg_degrees = list(range(0, min(100, n - 1) + 1))
     ks = [float(k) for k in avg_degrees]
-    return ErCurve(
-        avg_degrees=ks,
-        degree_uniqueness=[expected_degree_uniqueness(n, k) for k in ks],
-        nonempty_fraction=[expected_nonempty_fraction(n, k) for k in ks],
-    )
+    uniqueness, nonempty = [], []
+    for k in ks:
+        pmf = degree_pmf(n, k)
+        uniqueness.append(_degree_uniqueness(pmf))
+        nonempty.append(_nonempty_fraction(_check_params(n, k), pmf))
+    return ErCurve(ks, uniqueness, nonempty)
 
 
 def argmax_degree_uniqueness(n: int, resolution: float = 0.5) -> float:

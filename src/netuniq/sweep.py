@@ -159,24 +159,6 @@ def _mean_sem(values: Sequence[float]) -> tuple[float, float]:
     return mean, sem
 
 
-def uniqueness_at(
-    family: str,
-    n: int,
-    avg_degree: float,
-    reps: int,
-    seed: int,
-    beta: float | None = None,
-    jobs: int = 1,
-) -> tuple[float, float]:
-    """Mean and standard error of uniqueness over seeded replicates.
-
-    Two ws degrees with one lattice degree give the same estimate.
-    """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    return _mean_sem(model_sampler(family, n, seed, beta, jobs)(avg_degree, reps, 0))
-
-
 def uniqueness_map(
     family: str,
     n_grid: Sequence[int],

@@ -30,20 +30,6 @@ class UniquenessReport:
     nonempty_fraction: float
     nonempty_by_degree: dict[int, float] = field(default_factory=dict)
 
-    def to_dict(self, include_per_node: bool = False) -> dict:
-        out = {
-            "n": len(self.occurrence),
-            "neighborhood_uniqueness": self.neighborhood_uniqueness,
-            "degree_uniqueness": self.degree_uniqueness,
-            "nonempty_fraction": self.nonempty_fraction,
-            "nonempty_by_degree": {
-                str(k): v for k, v in sorted(self.nonempty_by_degree.items())
-            },
-        }
-        if include_per_node:
-            out["occurrence"] = list(self.occurrence)
-        return out
-
 
 def neighborhood_certificates(g: Graph) -> list[bytes]:
     """Certificate of every node's neighborhood, in node order."""
@@ -72,8 +58,9 @@ def neighborhood_uniqueness(g: Graph) -> float:
 
 def degree_uniqueness(g: Graph) -> float:
     """Fraction of nodes whose degree value occurs exactly once."""
-    counts = Counter(g.degrees())
-    return sum(1 for d in g.degrees() if counts[d] == 1) / g.n
+    degrees = g.degrees()
+    counts = Counter(degrees)
+    return sum(1 for d in degrees if counts[d] == 1) / g.n
 
 
 def nonempty_fraction(g: Graph) -> tuple[float, dict[int, float]]:

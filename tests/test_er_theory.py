@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
+import netuniq.er_theory as er_theory
+from netuniq.cli import main
 from netuniq.er_theory import (
     argmax_degree_uniqueness,
     degree_pmf,
@@ -130,6 +132,29 @@ class TestCurve:
         assert curve.avg_degrees == [float(k) for k in range(50)]
         assert all(0.0 <= v <= 1.0 for v in curve.degree_uniqueness)
         assert all(0.0 <= v <= 1.0 for v in curve.nonempty_fraction)
+
+    @pytest.mark.parametrize("n", [2, 3, 50, 10000])
+    def test_one_degree_law_per_grid_point(self, n, monkeypatch, capsys):
+        calls = []
+
+        def counting_pmf(*args):
+            calls.append(args)
+            return degree_pmf(*args)
+
+        monkeypatch.setattr(er_theory, "degree_pmf", counting_pmf)
+        curve = er_curve(n)
+        assert len(calls) == len(curve.avg_degrees)
+        monkeypatch.undo()
+        ks = curve.avg_degrees
+        # tobytes tells -0.0 from 0.0, which == does not
+        for values, form in [
+            (curve.degree_uniqueness, expected_degree_uniqueness),
+            (curve.nonempty_fraction, expected_nonempty_fraction),
+        ]:
+            assert np.array(values).tobytes() == np.array([form(n, k) for k in ks]).tobytes()
+        assert main(["er-curve", "--n", str(n)]) == 0
+        row_at_zero = capsys.readouterr().out.splitlines()[1]
+        assert row_at_zero == "0,0,0"
 
     def test_simulation_agreement_degree_uniqueness(self):
         n, reps = 100, 100

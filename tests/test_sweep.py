@@ -17,7 +17,6 @@ from netuniq.sweep import (
     boundary_search_fn,
     fit_boundary_line,
     model_sampler,
-    uniqueness_at,
     uniqueness_map,
 )
 from netuniq.uniqueness import neighborhood_uniqueness
@@ -54,23 +53,29 @@ class TestSearchConfig:
             SearchConfig(k_lo=5.0, k_hi=5.0)
 
 
+def one_cell(family, n, k, reps, seed, beta=None, jobs=1):
+    """Mean and standard error of a one-cell uniqueness map."""
+    (cell,) = uniqueness_map(family, [n], [k], reps, seed, beta, jobs).cells
+    return cell.mean, cell.sem
+
+
 class TestUniquenessAt:
     def test_ring_lattice_is_exactly_zero(self):
-        mean, sem = uniqueness_at("ws", 50, 4.0, reps=3, seed=1, beta=0.0)
+        mean, sem = one_cell("ws", 50, 4.0, reps=3, seed=1, beta=0.0)
         assert (mean, sem) == (0.0, 0.0)
 
     def test_complete_spec_is_zero(self):
-        mean, sem = uniqueness_at("er", 30, 29.0, reps=3, seed=1)
+        mean, sem = one_cell("er", 30, 29.0, reps=3, seed=1)
         assert (mean, sem) == (0.0, 0.0)
 
     def test_er_midrange(self):
-        mean, sem = uniqueness_at("er", 1000, 10.0, reps=10, seed=2)
+        mean, sem = one_cell("er", 1000, 10.0, reps=10, seed=2)
         assert 0.0 <= mean <= 1.0
         assert sem > 0.0
 
     def test_jobs_do_not_change_results(self):
-        a = uniqueness_at("er", 200, 6.0, reps=4, seed=3, jobs=1)
-        b = uniqueness_at("er", 200, 6.0, reps=4, seed=3, jobs=2)
+        a = one_cell("er", 200, 6.0, reps=4, seed=3, jobs=1)
+        b = one_cell("er", 200, 6.0, reps=4, seed=3, jobs=2)
         assert a == b
         # ws: the second probe lies in the first one's lattice step, so the
         # pool computes only the reps the first probe left missing
@@ -221,9 +226,8 @@ class TestBoundarySearch:
     def test_er_matches_dense_sweep(self):
         # independent oracle: locate the crossing on a fine fixed grid
         n, seed = 1000, 314
-        grid = {}
-        for k in np.arange(20.0, 27.5, 0.5):
-            grid[float(k)] = uniqueness_at("er", n, float(k), reps=20, seed=seed)[0]
+        cells = uniqueness_map("er", [n], list(np.arange(20.0, 27.5, 0.5)), 20, seed).cells
+        grid = {c.avg_degree: c.mean for c in cells}
         ks = sorted(grid)
         crossing = None
         for a, b in zip(ks, ks[1:]):

@@ -180,11 +180,6 @@ class TestReport:
         assert rep.nonempty_fraction == frac
         assert rep.nonempty_by_degree == table
 
-    def test_to_dict_per_node_flag(self):
-        g = load_edge_list("a b\nb c")
-        assert "occurrence" not in uniqueness_report(g).to_dict()
-        assert uniqueness_report(g).to_dict(include_per_node=True)["occurrence"] == [2, 1, 2]
-
     def test_isolated_nodes_share_one_class(self):
         g = Graph.from_edges(5, [(0, 1)])
         occ = occurrence_frequencies(g)
