@@ -6,13 +6,16 @@ to its primary artifacts, and one row of :func:`build_parser`, which
 declares every option once with its default and argparse keywords. The
 boundary search defaults are those of :class:`SearchConfig`, the family and
 sampling-mode choices those of the library, and JSON artifacts are the
-library's own dataclasses. Option precedence is flag > config file (keys are
-option names with underscores) > built-in default. If no seed is given, one
-is drawn and recorded. Every run with an ``--out`` directory writes its
-artifacts plus a ``manifest.json`` recording the resolved parameters,
-master seed, tool version, input digests and wall-clock duration -- enough
-to replay the run bit-exactly. Without ``--out`` only the primary (first)
-artifact goes to stdout.
+library's own dataclasses. Entries of a ``--config`` JSON file (keys are
+option names with underscores) are read exactly as flags, types and choices
+included, and placed before the command line: flag > config file > built-in
+default, a bad value exits 2 naming its flag, and keys the subcommand does
+not have are ignored. If no seed is given, one is drawn and recorded. Every
+run with an ``--out`` directory writes its artifacts plus a
+``manifest.json`` recording the resolved parameters, master seed, tool
+version, input digests and wall-clock duration -- enough to replay the run
+bit-exactly. Without ``--out`` only the primary (first) artifact goes to
+stdout.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ def _csv(header, rows) -> str:
 def _parse_grid(spec, integer: bool = False) -> list:
     """Parse a grid argument: "5", "2,5,10", "1:30" (step 1), "1:30:0.5",
     or "100:20000:log10" (10 log-spaced points)."""
-    spec = str(spec).strip()
+    spec = spec.strip()
     if "," in spec:
         vals = [float(tok) for tok in spec.split(",") if tok.strip()]
     elif ":" in spec:
@@ -144,37 +147,28 @@ def _write(command: str, p: dict, artifacts: dict, started: float) -> None:
     (out / "manifest.json").write_text(_json_text(manifest))
 
 
-def _resolve(args: argparse.Namespace) -> dict:
-    """Each option of the subcommand: flag > config-file value > default."""
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
-    p = {}
-    for key, default in args.defaults.items():
-        flag = getattr(args, key)
-        p[key] = flag if flag is not None else config.get(key, default)
-    if "seed" in p:
-        p["seed"] = int(p["seed"]) if p["seed"] is not None else secrets.randbits(63)
-    return p
-
-
-def _input_graph(p: dict) -> Graph:
-    if not p["input"]:
-        raise ValueError("--input is required")
-    return load_edge_list_file(p["input"])
-
-
-def _beta(p: dict) -> float | None:
-    if p["model"] == "ws" and p["beta"] is None:
-        raise ValueError("--beta is required for the ws model")
-    return float(p["beta"]) if p["beta"] is not None else None
+def _config_tokens(args: argparse.Namespace) -> list:
+    """The config file's entries for the subcommand's options as flags:
+    ``--key=value`` (the ``=`` keeps a negative number a value), a bare
+    ``--key`` for true and nothing for null or false."""
+    with open(args.config) as fh:
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object")
+    tokens = []
+    for key in args.keys:
+        value, flag = config.get(key), "--" + key.replace("_", "-")
+        if isinstance(value, (list, dict)):
+            raise ValueError(f"config entry {key!r} must be a string, number or boolean")
+        if value is True:
+            tokens.append(flag)
+        elif value is not None and value is not False:
+            tokens.append(f"{flag}={value}")
+    return tokens
 
 
 def _cmd_analyze(p: dict) -> dict:
-    g = _input_graph(p)
+    g = load_edge_list_file(p["input"])
     payload = {**asdict(summary_stats(g)), **asdict(uniqueness_report(g))}
     # JSON keys are strings; convert here so they sort as strings
     payload["nonempty_by_degree"] = {str(d): f for d, f in payload["nonempty_by_degree"].items()}
@@ -188,20 +182,14 @@ def _cmd_analyze(p: dict) -> dict:
 
 
 def _cmd_generate(p: dict) -> dict:
-    spec = ModelSpec(
-        family=p["model"],
-        beta=_beta(p),
-        n=int(p["n"]),
-        avg_degree=float(p["k"]),
-        seed=p["seed"],
-    )
+    spec = ModelSpec(family=p["model"], beta=p["beta"], n=p["n"], avg_degree=p["k"], seed=p["seed"])
     g = generate(spec)
     genspec = {**asdict(spec), "realized_m": g.m, "realized_avg_degree": 2.0 * g.m / g.n}
     return {"edges.txt": _edge_list_text(g), "genspec.json": genspec}
 
 
 def _cmd_er_curve(p: dict) -> dict:
-    curve = er_curve(int(p["n"]), _parse_grid(p["k_grid"]) if p["k_grid"] else None)
+    curve = er_curve(p["n"], _parse_grid(p["k_grid"]) if p["k_grid"] else None)
     rows = zip(curve.avg_degrees, curve.degree_uniqueness, curve.nonempty_fraction)
     return {"curve.csv": _csv(("avg_k", "expected_Uk", "expected_Ndelta"), rows)}
 
@@ -209,11 +197,11 @@ def _cmd_er_curve(p: dict) -> dict:
 def _cmd_map(p: dict) -> dict:
     result = uniqueness_map(
         family=p["model"],
-        beta=_beta(p),
-        jobs=int(p["jobs"]),
+        beta=p["beta"],
+        jobs=p["jobs"],
         n_grid=_parse_grid(p["n_grid"], integer=True),
         k_grid=_parse_grid(p["k_grid"]),
-        reps=int(p["reps"]),
+        reps=p["reps"],
         seed=p["seed"],
     )
     rows = [
@@ -224,14 +212,10 @@ def _cmd_map(p: dict) -> dict:
 
 
 def _cmd_boundary(p: dict) -> dict:
-    beta, jobs = _beta(p), int(p["jobs"])
-    default = SearchConfig()
-    config = SearchConfig(
-        **{f: type(getattr(default, f))(p[opt]) for opt, f in _SEARCH_OPTIONS.items()}
-    )
+    config = SearchConfig(**{f: p[opt] for opt, f in _SEARCH_OPTIONS.items()})
     points = []
     for n in _parse_grid(p["n_grid"], integer=True):
-        result = boundary_search(p["model"], n, config, p["seed"], beta, jobs)
+        result = boundary_search(p["model"], n, config, p["seed"], p["beta"], p["jobs"])
         points.append({"n": n, "total_sims": result.total_sims, **asdict(result)})
     rows = [(pt["n"], pt["k_star"], pt["total_sims"]) for pt in points]
     artifacts = {
@@ -250,15 +234,15 @@ def _cmd_boundary(p: dict) -> dict:
 
 
 def _cmd_sample(p: dict) -> dict:
-    g = _input_graph(p)
-    plan = SamplingPlan(rate=float(p["rate"]), mode=p["mode"], seed=p["seed"])
+    g = load_edge_list_file(p["input"])
+    plan = SamplingPlan(rate=p["rate"], mode=p["mode"], seed=p["seed"])
     sampled = sample_edges(g, plan)
     info = {**asdict(plan), "original_m": g.m, "retained_m": sampled.m, "n": sampled.n}
     return {"edges.txt": _edge_list_text(sampled), "sample_info.json": info}
 
 
 def _cmd_sampling_report(p: dict) -> dict:
-    g = _input_graph(p)
+    g = load_edge_list_file(p["input"])
     rates = _parse_grid(p["rates"]) if p["rates"] else list(DEFAULT_RATES)
     report = sampling_report(g, rates, seed=p["seed"], mode=p["mode"])
     header = [f.name for f in fields(SamplingReportRow)]
@@ -288,15 +272,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, handler, *options):
         """Each option is a shared option's name or (name, default, argparse
-        keywords). Flags default to None, so a config value can fill them."""
+        keywords); ``keys`` records the option names for the manifest and
+        the config file."""
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="JSON file with default parameter values")
-        defaults = {}
+        keys = []
         for opt in ("out", *options):
             key, default, kwargs = (opt, *_SHARED_OPTIONS[opt]) if isinstance(opt, str) else opt
-            sp.add_argument(f"--{key.replace('_', '-')}", default=None, **kwargs)
-            defaults[key] = default
-        sp.set_defaults(handler=handler, defaults=defaults)
+            sp.add_argument(f"--{key.replace('_', '-')}", default=default, **kwargs)
+            keys.append(key)
+        sp.set_defaults(handler=handler, keys=keys)
 
     add(
         "analyze",
@@ -353,10 +338,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        p = _resolve(args)
+        if args.config:
+            # config entries go before the command line, so a flag wins
+            args = parser.parse_args([args.command, *_config_tokens(args), *argv[1:]])
+        p = {key: getattr(args, key) for key in args.keys}
+        if "input" in p and not p["input"]:
+            raise ValueError("--input is required")
+        if p.get("model") == "ws" and p["beta"] is None:
+            raise ValueError("--beta is required for the ws model")
+        if "seed" in p and p["seed"] is None:
+            p["seed"] = secrets.randbits(63)
         _write(args.command, p, args.handler(p), started)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

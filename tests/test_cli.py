@@ -389,6 +389,86 @@ class TestConfigFile:
         assert main(["generate", "--n", "20", "--k", "2", "--seed", "1", "--config", cfg]) == 1
         assert "JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, payload, flag",
+        [("analyze", {"format": "xml"}, "--format"),
+         ("analyze", {"per_node": "false"}, "--per-node"),
+         ("map", {"jobs": 2.7}, "--jobs"),
+         ("generate", {"n": 1000.7}, "--n")],
+    )
+    def test_bad_value_exits_2_naming_the_flag(self, command, payload, flag, triangle_file,
+                                                tmp_path, capsys):
+        # a config value is read by the flag's own type and choices
+        argv = [command, "--config", self.config(tmp_path, payload), "--out", str(tmp_path / "o")]
+        if command == "analyze":
+            argv += ["--input", triangle_file]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", sorted(CONTRACT))
+    def test_config_and_flags_take_one_path(self, command, triangle_file, tmp_path,
+                                            monkeypatch):
+        # every flag moved into the config file, each value written as the flag's string
+        monkeypatch.setattr(cli, "boundary_search", _fake_search([]))
+        flags, expected = CONTRACT[command]
+        if command in NEEDS_INPUT:
+            flags = ["--input", triangle_file] + flags
+        by_flag, by_config = tmp_path / "flag", tmp_path / "config"
+        payload = {flag[2:].replace("-", "_"): value
+                   for flag, value in zip(flags[::2], flags[1::2])}
+        cfg = self.config(tmp_path, {**payload, "out": str(by_config)})
+        assert main([command] + flags + ["--out", str(by_flag)]) == 0
+        assert main([command, "--config", cfg]) == 0
+        input_path = triangle_file if command in NEEDS_INPUT else None
+        assert _parameters(by_config, input_path) == _parameters(by_flag, input_path) == expected
+        artifacts = sorted(path.name for path in by_flag.iterdir())
+        assert sorted(path.name for path in by_config.iterdir()) == artifacts
+        for name in artifacts:
+            if name != "manifest.json":
+                assert read(by_config / name) == read(by_flag / name), name
+
+    def test_list_value_is_an_error(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"out": [str(tmp_path / "o")]})
+        assert main(["generate", "--n", "20", "--k", "2", "--seed", "1", "--config", cfg]) == 1
+        assert "config entry 'out'" in capsys.readouterr().err
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_keys_of_other_subcommands_are_ignored(self, tmp_path):
+        cfg = self.config(tmp_path, {"tol": 0.1, "k_lo": 2, "format": "xml", "reps": 2})
+        out = tmp_path / "m"
+        assert main(["map", "--n-grid", "30", "--k-grid", "2", "--seed", "1", "--config", cfg,
+                     "--out", str(out)]) == 0
+        params = _parameters(out)
+        assert params["reps"] == 2 and not {"tol", "k_lo", "format"} & set(params)
+
+    def test_negative_value_reaches_search_config(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "boundary_search", _fake_search(calls))
+        cfg = self.config(tmp_path, {"k_lo": -0.5, "k_hi": 2})
+        out = tmp_path / "b"
+        assert main(["boundary", "--n-grid", "150", "--seed", "1", "--config", cfg,
+                     "--out", str(out)]) == 0
+        assert calls[0].k_lo == -0.5 and calls[0].k_hi == 2.0
+        params = _parameters(out)
+        assert (params["k_lo"], params["k_hi"]) == (-0.5, 2.0)
+
+    def test_false_and_null_entries_keep_the_default(self, triangle_file, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"per_node": False, "format": None})
+        assert main(["analyze", "--input", triangle_file, "--config", cfg]) == 0
+        assert "occurrence" not in json.loads(capsys.readouterr().out)
+
+    def test_main_reads_sys_argv(self, tmp_path, monkeypatch):
+        out = tmp_path / "argv"
+        cfg = self.config(tmp_path, {"n": 30, "k": 3, "seed": 4, "out": str(out)})
+        monkeypatch.setattr(sys, "argv", ["netuniq", "generate", "--config", cfg, "--n", "20"])
+        assert main() == 0
+        assert json.loads((out / "genspec.json").read_text())["n"] == 20
+        assert _parameters(out) == {"beta": None, "k": 3.0, "model": "er", "n": 20,
+                                    "out": "OUT", "seed": 4}
+
 
 class TestUsage:
     @pytest.mark.parametrize(
