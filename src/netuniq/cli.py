@@ -44,6 +44,7 @@ from .sampling import (
     sampling_report,
 )
 from .sweep import SearchConfig, boundary_search, fit_boundary_line, uniqueness_map
+from .sweep import WARM_FACTOR, BracketingError, warm_config
 from .uniqueness import uniqueness_report
 
 _ANALYSIS_CSV = (
@@ -68,6 +69,9 @@ _SEARCH_OPTIONS = {
     "min_width": "min_width",
 }
 
+_HELP = dict.fromkeys(("k_lo", "k_hi"), "bracket end for the first size; later sizes first search "
+                      f"[k*/{WARM_FACTOR:g}, {WARM_FACTOR:g}k*] around the previous size's k*")
+
 
 def _fmt(x) -> str:
     if isinstance(x, str):
@@ -84,7 +88,7 @@ def _csv(header, rows) -> str:
 
 def _parse_grid(spec, integer: bool = False) -> list:
     """Parse a grid argument: "5", "2,5,10", "1:30" (step 1), "1:30:0.5",
-    or "100:20000:log10" (10 log-spaced points)."""
+    or "100:20000:log10" (10 log-spaced points). Sizes round only in a range."""
     spec = spec.strip()
     if "," in spec:
         vals = [float(tok) for tok in spec.split(",") if tok.strip()]
@@ -105,6 +109,9 @@ def _parse_grid(spec, integer: bool = False) -> list:
     if not vals:
         raise ValueError(f"empty grid spec {spec!r}")
     if integer:
+        odd = [v for v in vals if not v.is_integer()] if ":" not in spec else []
+        if odd:
+            raise ValueError(f"grid spec {spec!r}: size {odd[0]:g} is not an integer")
         return list(dict.fromkeys(int(round(v)) for v in vals))
     return vals
 
@@ -213,9 +220,16 @@ def _cmd_map(p: dict) -> dict:
 
 def _cmd_boundary(p: dict) -> dict:
     config = SearchConfig(**{f: p[opt] for opt, f in _SEARCH_OPTIONS.items()})
-    points = []
+    points, warm = [], None
     for n in _parse_grid(p["n_grid"], integer=True):
-        result = boundary_search(p["model"], n, config, p["seed"], p["beta"], p["jobs"])
+        try:
+            result = warm and boundary_search(p["model"], n, warm, p["seed"], p["beta"], p["jobs"])
+        except BracketingError:
+            result = None
+        # a warm search that stops at its own endpoint has no probe beyond k*
+        if result is None or result.k_star in (warm.k_lo, warm.k_hi):
+            result = boundary_search(p["model"], n, config, p["seed"], p["beta"], p["jobs"])
+        warm = warm_config(config, result.k_star)
         points.append({"n": n, "total_sims": result.total_sims, **asdict(result)})
     rows = [(pt["n"], pt["k_star"], pt["total_sims"]) for pt in points]
     artifacts = {
@@ -319,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         "beta",
         ("n_grid", "1000", {"help": "sizes to search, e.g. 1000,5000,10000"}),
         *[
-            (opt, getattr(search, f), {"type": type(getattr(search, f))})
+            (opt, getattr(search, f), {"type": type(getattr(search, f)), "help": _HELP.get(opt)})
             for opt, f in _SEARCH_OPTIONS.items()
         ],
         "seed",

@@ -126,7 +126,7 @@ def er_curve(n: int, avg_degrees=None) -> ErCurve:
 
 
 def argmax_degree_uniqueness(n: int, resolution: float = 0.5) -> float:
-    """Grid maximizer of the expected degree-uniqueness curve."""
-    grid = np.arange(0.0, n - 1 + resolution / 2, resolution)
+    """Grid maximizer of degree uniqueness, searched up to the curve's mirror axis (n-1)/2."""
+    grid = np.arange(0.0, (n - 1) / 2 + resolution / 2, resolution)
     values = [expected_degree_uniqueness(n, float(k)) for k in grid]
     return float(grid[int(np.argmax(values))])

@@ -9,6 +9,9 @@ of the mean (step left or right), the estimate lands within tolerance of
 the target (success), or the simulation budget is exhausted while the
 interval still contains the target (confident success).
 
+A curve's first size searches the configured bracket, each later size the
+:func:`warm_config` bracket first, so its k* depends on the sizes before it.
+
 All replicate seeds are substreams of the master seed hashed together with
 the size, the mean degree the model builds and the replicate index, so
 results are reproducible and independent of worker scheduling and of the
@@ -20,7 +23,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from statistics import NormalDist
 from typing import Callable, Sequence
 
@@ -102,6 +105,8 @@ class UniquenessMap:
 
 
 Sampler = Callable[[float, int, int], list[float]]
+
+WARM_FACTOR = 1.5
 
 
 def _uniqueness_of_spec(spec: ModelSpec) -> float:
@@ -266,6 +271,12 @@ def boundary_search(
 ) -> SearchResult:
     """Boundary degree for a model family at fixed size."""
     return boundary_search_fn(model_sampler(family, n, seed, beta, jobs), config)
+
+
+def warm_config(config: SearchConfig, k_star: float) -> SearchConfig | None:
+    """``config`` with its bracket clipped to [k*/WARM_FACTOR, WARM_FACTOR k*], or None if empty."""
+    k_lo, k_hi = max(config.k_lo, k_star / WARM_FACTOR), min(config.k_hi, k_star * WARM_FACTOR)
+    return replace(config, k_lo=k_lo, k_hi=k_hi) if k_lo < k_hi else None
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, manifests, and determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import netuniq
 import netuniq.cli as cli
 from netuniq.cli import main, _parse_grid
 from netuniq.er_theory import expected_degree_uniqueness
-from netuniq.sweep import PointEstimate, SearchResult
+from netuniq.sweep import PointEstimate, SearchResult, boundary_search_fn
 
 TRIANGLE = "a b\nb c\na c\n"
 
@@ -49,6 +50,22 @@ class TestParseGrid:
     def test_too_many_parts(self):
         with pytest.raises(ValueError):
             _parse_grid("1:2:3:4")
+
+    def test_integer_grid_rejects_a_fractional_size(self):
+        for spec, size in [("40.6", "40.6"), ("40,50.5", "50.5")]:
+            with pytest.raises(ValueError, match=rf"size {size} is not an integer"):
+                _parse_grid(spec, integer=True)
+        assert _parse_grid("40.0,50", integer=True) == [40, 50]
+        # ranges keep rounding their points
+        assert _parse_grid("10:20:2.5", integer=True) == [10, 12, 15, 18, 20]
+        assert _parse_grid("40.6", integer=False) == [40.6]
+
+    def test_fractional_size_is_a_usage_error(self, tmp_path, capsys):
+        argv = ["map", "--n-grid", "40.6", "--k-grid", "2", "--reps", "2", "--seed", "1",
+                "--out", str(tmp_path / "map")]
+        assert main(argv) == 1
+        assert "size 40.6 is not an integer" in capsys.readouterr().err
+        assert not (tmp_path / "map").exists()
 
     def test_bad_grid_is_a_usage_error(self, capsys):
         assert main(["er-curve", "--n", "50", "--k-grid", "1:30:0"]) == 1
@@ -194,6 +211,90 @@ class TestBoundaryCommand:
         assert main(argv) == 1
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and "0.0080 at k_lo, 0.0680 at k_hi" in line
+
+
+    def test_single_size_bytes_pinned(self, tmp_path):
+        # a single size searches only the configured bracket, as before warm brackets
+        argv = ["boundary", "--n-grid", "150", "--k-lo", "2", "--k-hi", "30", "--batch", "3",
+                "--max-sims", "6", "--min-width", "1.0", "--seed", "5", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        digests = {name: hashlib.sha256(read(tmp_path / name)).hexdigest()
+                   for name in ("boundary.csv", "boundary_points.json")}
+        assert digests == {
+            "boundary.csv": "49128181f2545588442c1cf51ed87181e4ce56c252750f81b1c272464e32f14c",
+            "boundary_points.json":
+                "8728d418613adc583a3f7dc5d6390c0b18736fcc24934b27aafcf7007edd8235",
+        }
+
+    def test_multi_size_jobs_do_not_change_results(self, tmp_path):
+        argv = ["boundary", "--model", "rgg", "--n-grid", "150,175", "--k-lo", "1",
+                "--k-hi", "30", "--seed", "1"]
+        for jobs in ("1", "2"):
+            assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
+        assert read(tmp_path / "1" / "boundary_points.json") == read(
+            tmp_path / "2" / "boundary_points.json")
+
+
+def _ramp_search(crossings, calls):
+    """Stand-in for ``cli.boundary_search``: the search over a noiseless
+    sampler whose uniqueness at size n climbs from 0 to 1 over the five
+    degrees on either side of ``crossings[n]``. Records each bracket."""
+
+    def search(family, n, config, seed, beta=None, jobs=1):
+        calls.append((n, config.k_lo, config.k_hi))
+
+        def sample(k, count, offset):
+            return [min(1.0, max(0.0, 0.5 + (k - crossings[n]) / 10.0))] * count
+
+        return boundary_search_fn(sample, config)
+
+    return search
+
+
+class TestWarmBrackets:
+    ARGV = ["boundary", "--n-grid", "150,175", "--k-lo", "2", "--k-hi", "30", "--seed", "1"]
+    CONFIGURED = (2.0, 30.0)
+    # the first size hits the target at its first midpoint, k* = 16
+    WARM = (pytest.approx(16.0 / 1.5), 24.0)
+
+    @pytest.mark.parametrize("crossing, fallback", [
+        (20.0, False),  # inside the warm bracket
+        (5.0, True),  # falls by more than 1.5x: the warm bracket lies above it
+        (28.0, True),  # rises by more than 1.5x: the warm bracket lies below it
+        (24.0, True),  # on the warm k_hi, which lands within tolerance
+    ])
+    def test_later_size_searches_the_warm_bracket_first(self, crossing, fallback, tmp_path,
+                                                        monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "boundary_search", _ramp_search({150: 16.0, 175: crossing},
+                                                                 calls))
+        assert main(self.ARGV + ["--out", str(tmp_path)]) == 0
+        expected = [(150, *self.CONFIGURED), (175, *self.WARM)]
+        assert calls == expected + [(175, *self.CONFIGURED)] * fallback
+        first, later = json.loads((tmp_path / "boundary_points.json").read_text())["points"]
+        assert (first["k_star"], first["status"]) == (16.0, "tolerance")
+        # within tolerance of the target: 0.02 of uniqueness is 0.2 of degree
+        assert later["k_star"] == pytest.approx(crossing, abs=0.2)
+        evaluations = later["evaluations"]
+        assert any(e["avg_degree"] < later["k_star"] and e["mean"] < 0.5 for e in evaluations)
+        assert any(e["avg_degree"] > later["k_star"] and e["mean"] > 0.5 for e in evaluations)
+
+    def test_configured_bracket_error_exits_1(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "boundary_search", _ramp_search({150: 16.0, 175: 50.0}, calls))
+        assert main(self.ARGV) == 1
+        assert [n for n, _, _ in calls] == [150, 175, 175]
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "error: uniqueness must rise across target 0.5: 0.0000 at k_lo, " \
+                       "0.0000 at k_hi"
+
+    def test_single_size_searches_the_configured_bracket_only(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "boundary_search", _ramp_search({150: 16.0}, calls))
+        assert main(["boundary", "--n-grid", "150", "--k-lo", "2", "--k-hi", "30", "--seed",
+                     "1", "--out", str(tmp_path)]) == 0
+        assert calls == [(150, *self.CONFIGURED)]
+        assert (tmp_path / "boundary.csv").read_text() == "n,k_star,evaluations\n150,16,15\n"
 
 
 class TestSampleCommand:

@@ -35,6 +35,13 @@ class TestDegreeUniquenessForm:
     def test_argmax_at_half_max_degree(self):
         assert argmax_degree_uniqueness(100) == pytest.approx(49.5)
 
+    @pytest.mark.parametrize("n", [20, 99, 100, 200, 1000])
+    def test_argmax_equals_full_grid_argmax(self, n):
+        # the function evaluates the grid up to the centre only
+        grid = np.arange(0.0, n - 1 + 0.25, 0.5)
+        full = [expected_degree_uniqueness(n, float(k)) for k in grid]
+        assert argmax_degree_uniqueness(n) == grid[int(np.argmax(full))]
+
     def test_derivative_vanishes_at_center(self):
         n = 100
         center = (n - 1) / 2

@@ -18,6 +18,7 @@ from netuniq.sweep import (
     fit_boundary_line,
     model_sampler,
     uniqueness_map,
+    warm_config,
 )
 from netuniq.uniqueness import neighborhood_uniqueness
 
@@ -222,6 +223,18 @@ class TestBoundarySearch:
 
             with pytest.raises(BracketingError, match=f"{lo:.4f} at k_lo, {hi:.4f} at k_hi"):
                 boundary_search_fn(sample, SearchConfig(k_lo=1.0, k_hi=10.0))
+
+    def test_warm_config_brackets_the_previous_k_star(self):
+        config = SearchConfig(k_lo=2.0, k_hi=30.0)
+        warm = warm_config(config, 16.0)
+        assert (warm.k_lo, warm.k_hi) == (pytest.approx(16.0 / 1.5), 24.0)
+        assert warm.target == config.target and warm.min_width == config.min_width
+        # clipped to the configured bracket
+        assert (warm_config(config, 25.0).k_lo, warm_config(config, 25.0).k_hi) == (
+            pytest.approx(25.0 / 1.5), 30.0)
+        # nothing left of the bracket once clipped
+        for k_star in (0.0, 1.0, 60.0):
+            assert warm_config(config, k_star) is None
 
     def test_er_matches_dense_sweep(self):
         # independent oracle: locate the crossing on a fine fixed grid
