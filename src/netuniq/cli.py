@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import secrets
 import sys
 import time
@@ -88,7 +89,7 @@ def _csv(header, rows) -> str:
 
 def _parse_grid(spec, integer: bool = False) -> list:
     """Parse a grid argument: "5", "2,5,10", "1:30" (step 1), "1:30:0.5",
-    or "100:20000:log10" (10 log-spaced points). Sizes round only in a range."""
+    or "100:20000:log10" (10 log-spaced points). Only range sizes round, half up."""
     spec = spec.strip()
     if "," in spec:
         vals = [float(tok) for tok in spec.split(",") if tok.strip()]
@@ -112,7 +113,7 @@ def _parse_grid(spec, integer: bool = False) -> list:
         odd = [v for v in vals if not v.is_integer()] if ":" not in spec else []
         if odd:
             raise ValueError(f"grid spec {spec!r}: size {odd[0]:g} is not an integer")
-        return list(dict.fromkeys(int(round(v)) for v in vals))
+        return list(dict.fromkeys(math.floor(v + 0.5) for v in vals))
     return vals
 
 
@@ -226,8 +227,7 @@ def _cmd_boundary(p: dict) -> dict:
             result = warm and boundary_search(p["model"], n, warm, p["seed"], p["beta"], p["jobs"])
         except BracketingError:
             result = None
-        # a warm search that stops at its own endpoint has no probe beyond k*
-        if result is None or result.k_star in (warm.k_lo, warm.k_hi):
+        if result is None:
             result = boundary_search(p["model"], n, config, p["seed"], p["beta"], p["jobs"])
         warm = warm_config(config, result.k_star)
         points.append({"n": n, "total_sims": result.total_sims, **asdict(result)})

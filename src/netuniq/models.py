@@ -297,8 +297,10 @@ def gen_rgg(spec: ModelSpec) -> Graph:
     rng = rng_from(spec.seed, "rgg", n, float(spec.avg_degree))
     pts = rng.random((n, 2))
     pairs = _pairs_within(pts, r)
-    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
-    pairs = pairs[order]
-    d = np.linalg.norm(pts[pairs[:, 0]] - pts[pairs[:, 1]], axis=1)
-    keep = rng.random(len(pairs)) < np.exp(-3.0 * d / r)
-    return Graph.from_edges(n, pairs[keep])
+    # one key i*n + j per pair sorts in (i, j) order
+    keys = pairs[:, 0] * n + pairs[:, 1]
+    keys.sort()
+    i, j = np.divmod(keys, n)
+    d = np.linalg.norm(pts[i] - pts[j], axis=1)
+    keep = rng.random(len(keys)) < np.exp(-3.0 * d / r)
+    return Graph.from_edges(n, np.stack((i[keep], j[keep]), axis=1))

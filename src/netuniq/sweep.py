@@ -3,11 +3,12 @@
 The map is a grid of mean neighborhood-uniqueness values over network size
 and mean degree, averaged over seeded replicates. The boundary search is a
 stochastic binary search for the mean degree where uniqueness crosses a
-target (0.5 by default): each probed degree is estimated from batches of
-simulated networks until the target falls outside the confidence interval
-of the mean (step left or right), the estimate lands within tolerance of
-the target (success), or the simulation budget is exhausted while the
-interval still contains the target (confident success).
+target (0.5 by default). Every probe, the bracket's endpoints included, is
+estimated from batches of simulated networks until the target falls outside
+the confidence interval of the mean, the estimate lands within tolerance of
+the target, or the simulation budget runs out. The endpoints only decide
+whether the bracket straddles the target; an interior probe halves the
+bracket, or ends the search within tolerance or at the budget.
 
 A curve's first size searches the configured bracket, each later size the
 :func:`warm_config` bracket first, so its k* depends on the sizes before it.
@@ -75,7 +76,7 @@ class PointEstimate:
     mean: float
     sem: float
     sims: int  # replicate values used, some possibly computed for an earlier probe
-    status: str  # hit_tolerance | ci_converged | decided | undecided (endpoints)
+    status: str  # hit_tolerance | ci_converged | decided
 
 
 @dataclass(frozen=True)
@@ -196,11 +197,7 @@ def uniqueness_map(
 
 
 def _estimate_point(
-    sample: Sampler,
-    avg_degree: float,
-    config: SearchConfig,
-    z: float,
-    extend: bool = True,
+    sample: Sampler, avg_degree: float, config: SearchConfig, z: float
 ) -> PointEstimate:
     values = list(sample(avg_degree, config.batch_size, 0))
     while True:
@@ -212,8 +209,6 @@ def _estimate_point(
             return PointEstimate(avg_degree, mean, sem, len(values), "decided")
         if len(values) >= config.max_sims:
             return PointEstimate(avg_degree, mean, sem, len(values), "ci_converged")
-        if not extend:
-            return PointEstimate(avg_degree, mean, sem, len(values), "undecided")
         take = min(config.batch_size, config.max_sims - len(values))
         values.extend(sample(avg_degree, take, len(values)))
 
@@ -222,22 +217,16 @@ def boundary_search_fn(sample: Sampler, config: SearchConfig) -> SearchResult:
     """Stochastic binary search over an abstract uniqueness sampler.
 
     The sampler must be (stochastically) nondecreasing in mean degree over
-    the configured interval. Each endpoint gets one batch; the search stops
-    at the first that lands within tolerance, and otherwise requires
-    ``mean(k_lo) < target < mean(k_hi)``, raising :class:`BracketingError`
-    when the endpoints are both above, both below, or falling across it.
-    The interval half-width is z standard errors, z the normal quantile of
-    ``0.5 + confidence / 2`` from :class:`statistics.NormalDist` (Wichura's
-    AS 241, within a few ulp of ``scipy.special.ndtri``).
+    the configured interval. The endpoints are estimated like any probe and
+    only decide the bracket: ``mean(k_lo) < target < mean(k_hi)``, or else
+    :class:`BracketingError`. So k* lies strictly inside the bracket, with an
+    evaluation on each side. The interval half-width is z standard errors,
+    z the normal quantile of ``0.5 + confidence / 2`` from
+    :class:`statistics.NormalDist` (Wichura's AS 241, within a few ulp of
+    ``scipy.special.ndtri``).
     """
     z = NormalDist().inv_cdf(0.5 + config.confidence / 2.0)
-    evaluations: list[PointEstimate] = []
-
-    for k in (config.k_lo, config.k_hi):
-        pt = _estimate_point(sample, k, config, z, extend=False)
-        evaluations.append(pt)
-        if pt.status == "hit_tolerance":
-            return SearchResult(k, "tolerance", evaluations)
+    evaluations = [_estimate_point(sample, k, config, z) for k in (config.k_lo, config.k_hi)]
     lo_mean, hi_mean = evaluations[0].mean, evaluations[1].mean
     if not lo_mean < config.target < hi_mean:
         raise BracketingError(

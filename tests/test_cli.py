@@ -56,8 +56,8 @@ class TestParseGrid:
             with pytest.raises(ValueError, match=rf"size {size} is not an integer"):
                 _parse_grid(spec, integer=True)
         assert _parse_grid("40.0,50", integer=True) == [40, 50]
-        # ranges keep rounding their points
-        assert _parse_grid("10:20:2.5", integer=True) == [10, 12, 15, 18, 20]
+        # ranges keep rounding their points, half up as the ws lattice degree does
+        assert _parse_grid("10:20:2.5", integer=True) == [10, 13, 15, 18, 20]
         assert _parse_grid("40.6", integer=False) == [40.6]
 
     def test_fractional_size_is_a_usage_error(self, tmp_path, capsys):
@@ -213,6 +213,17 @@ class TestBoundaryCommand:
         assert line.startswith("error:") and "0.0080 at k_lo, 0.0680 at k_hi" in line
 
 
+    def test_endpoint_within_tolerance_is_bracketed(self, tmp_path, capsys):
+        # k_lo 6.7 reads 0.489 on its first batch, within tolerance below the target
+        argv = ["boundary", "--model", "rgg", "--n-grid", "200", "--k-hi", "30", "--seed", "1"]
+        assert main(argv + ["--k-lo", "6.7", "--out", str(tmp_path)]) == 0
+        (point,) = json.loads((tmp_path / "boundary_points.json").read_text())["points"]
+        degrees = [e["avg_degree"] for e in point["evaluations"]]
+        assert min(degrees) < point["k_star"] < max(degrees)
+        # k_lo 6.8 reads 0.518, within tolerance but above it
+        assert main(argv + ["--k-lo", "6.8"]) == 1
+        assert "0.5180 at k_lo" in capsys.readouterr().err
+
     def test_single_size_bytes_pinned(self, tmp_path):
         # a single size searches only the configured bracket, as before warm brackets
         argv = ["boundary", "--n-grid", "150", "--k-lo", "2", "--k-hi", "30", "--batch", "3",
@@ -261,7 +272,7 @@ class TestWarmBrackets:
         (20.0, False),  # inside the warm bracket
         (5.0, True),  # falls by more than 1.5x: the warm bracket lies above it
         (28.0, True),  # rises by more than 1.5x: the warm bracket lies below it
-        (24.0, True),  # on the warm k_hi, which lands within tolerance
+        (24.0, True),  # on the warm k_hi, which reads the target: no straddle
     ])
     def test_later_size_searches_the_warm_bracket_first(self, crossing, fallback, tmp_path,
                                                         monkeypatch):

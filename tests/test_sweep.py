@@ -5,6 +5,8 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
@@ -205,19 +207,59 @@ class TestBoundarySearch:
         )
         assert all(pt.sims <= 30 for pt in res.evaluations)
 
-    def test_endpoint_within_tolerance_ends_the_search(self):
-        # k_lo is probed first, so it wins when both endpoints are within tolerance
-        for lo, k_star, probed in [(0.51, 1.0, [1.0]), (0.1, 10.0, [1.0, 10.0])]:
-            def sample(k, count, offset):
-                return [lo if k == 1.0 else 0.49] * count
+    @staticmethod
+    def _assert_bracketed(res, config):
+        # every probe below k* reads under the target, every probe above it over
+        below = [pt.mean for pt in res.evaluations if pt.avg_degree < res.k_star]
+        above = [pt.mean for pt in res.evaluations if pt.avg_degree > res.k_star]
+        assert config.k_lo < res.k_star < config.k_hi
+        assert below and above
+        assert max(below) < config.target < min(above)
 
-            res = boundary_search_fn(sample, SearchConfig(k_lo=1.0, k_hi=10.0))
-            assert (res.k_star, res.status) == (k_star, "tolerance")
-            assert [pt.avg_degree for pt in res.evaluations] == probed
+    def test_endpoint_within_tolerance_below_the_target_goes_on(self):
+        def sample(k, count, offset):
+            return [min(1.0, 0.49 + (k - 1.0) / 10.0)] * count
+
+        config = SearchConfig(k_lo=1.0, k_hi=10.0)
+        res = boundary_search_fn(sample, config)
+        assert res.evaluations[0].status == "hit_tolerance"
+        assert res.status == "tolerance" and len(res.evaluations) > 2
+        self._assert_bracketed(res, config)
+
+    def test_undecided_endpoint_is_extended(self):
+        # k_lo's first batch reads 0.42, whose interval contains the target;
+        # its next batch reads 0.3 throughout and decides it
+        def sample(k, count, offset):
+            reps = range(offset, offset + count)
+            return [1.0 if k > 1.0 else (0.6 if rep in (1, 3) else 0.3) for rep in reps]
+
+        config = SearchConfig(k_lo=1.0, k_hi=10.0)
+        res = boundary_search_fn(sample, config)
+        lo = res.evaluations[0]
+        assert (lo.avg_degree, lo.sims, lo.status) == (1.0, 2 * config.batch_size, "decided")
+        assert lo.mean == pytest.approx(0.36)
+        self._assert_bracketed(res, config)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(
+        midpoint=st.floats(2.0, 40.0),
+        sigma=st.floats(0.0, 0.3),
+        k_lo=st.floats(0.5, 40.0),
+        width=st.floats(0.1, 60.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_k_star_lies_strictly_inside_the_bracket(self, midpoint, sigma, k_lo, width, seed):
+        config = SearchConfig(k_lo=k_lo, k_hi=k_lo + width)
+        try:
+            res = boundary_search_fn(logistic_sampler(midpoint, sigma, seed), config)
+        except BracketingError:
+            assume(False)
+        self._assert_bracketed(res, config)
 
     def test_non_bracketing_raises(self):
-        # both above, both below, and falling across the target
-        for lo, hi in [(0.9, 0.9), (0.1, 0.1), (0.9, 0.1)]:
+        # both above, both below, falling across the target, and an endpoint
+        # within tolerance on the wrong side: k_lo just above, k_hi just below
+        for lo, hi in [(0.9, 0.9), (0.1, 0.1), (0.9, 0.1), (0.51, 1.0), (0.0, 0.49)]:
             def sample(k, count, offset):
                 return [lo if k == 1.0 else hi] * count
 
