@@ -2,10 +2,13 @@
 
 Three families: Erdos-Renyi (independent edges), Watts-Strogatz (ring
 lattice with rewiring), and a soft random geometric graph (points in the
-unit square, distance cutoff with exponential acceptance). The geometric
-graph's radius solves (n - 1) P(r) = k for the exact edge probability P,
-integrated against the density of the distance between two uniform points
-in the unit square (Philip 2007), so it needs no simulation and no cache.
+unit square, distance cutoff with exponential acceptance). Watts-Strogatz
+rewires in vectorized rounds that hold a pending edge's lattice pair and
+skip sources with n - 1 neighbours, which changed ws edge lists at fixed
+seeds (er and rgg ones did not). The geometric graph's radius solves
+(n - 1) P(r) = k for the exact edge probability P, integrated against the
+density of the distance between two uniform points in the unit square
+(Philip 2007), so it needs no simulation and no cache.
 
 All generators draw from numpy's PCG64 keyed by the spec seed and hand
 their pairs to :meth:`Graph.from_edges`, so an identical spec reproduces a
@@ -19,7 +22,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from hashlib import blake2b
-from itertools import chain
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -145,34 +147,32 @@ def gen_ws(spec: ModelSpec) -> Graph:
     with probability beta to a uniform non-duplicate, non-self target.
 
     K is :func:`lattice_degree`: the target degree rounded half up to an
-    even integer, at least 2, K = 2 floor(k/2 + 1/2).
+    even integer, at least 2, K = 2 floor(k/2 + 1/2). One draw per lattice
+    edge (u, u + j mod n), j-major, picks the rewired ones. Each round,
+    every pending edge draws a target w and is placed unless w = u, {u, w}
+    is an edge, or an earlier edge drew {u, w} in the round. It holds its
+    lattice pair until placed, and a source with n - 1 neighbours keeps its
+    edge, so the rounds end on every feasible lattice.
     """
     n = spec.n
-    K = lattice_degree(spec.avg_degree)
-    beta = float(spec.beta if spec.beta is not None else 0.0)
-    rng = rng_from(spec.seed, "ws", n, float(spec.avg_degree), beta)
-
-    adj = [{(u + j) % n for j in range(-(K // 2), K // 2 + 1) if j} for u in range(n)]
-
-    if beta > 0.0:
-        for j in range(1, K // 2 + 1):
-            for u in range(n):
-                if rng.random() >= beta:
-                    continue
-                if len(adj[u]) >= n - 1:
-                    continue
-                w = int(rng.integers(0, n))
-                while w == u or w in adj[u]:
-                    w = int(rng.integers(0, n))
-                v = (u + j) % n
-                adj[u].discard(v)
-                adj[v].discard(u)
-                adj[u].add(w)
-                adj[w].add(u)
-
-    deg = [len(s) for s in adj]
-    ends = np.fromiter(chain.from_iterable(adj), np.int64, sum(deg))
-    return Graph.from_edges(n, np.stack((np.repeat(np.arange(n), deg), ends), axis=1))
+    half = lattice_degree(spec.avg_degree) // 2
+    rng = rng_from(spec.seed, "ws", n, float(spec.avg_degree), float(spec.beta))
+    u = np.tile(np.arange(n), half)
+    v = (u + np.arange(1, half + 1).repeat(n)) % n
+    pending = np.flatnonzero(rng.random(len(u)) < spec.beta)
+    while len(pending):
+        full = np.bincount(np.concatenate((u, v)), minlength=n) >= n - 1
+        pending = pending[~full[u[pending]]]
+        src = u[pending]
+        w = rng.integers(0, n, size=len(pending))
+        key = np.minimum(src, w) * n + np.maximum(src, w)
+        edges = np.sort(np.minimum(u, v) * n + np.maximum(u, v))
+        key, first = np.unique(key, return_index=True)  # first candidate per pair
+        taken = edges[edges.searchsorted(key).clip(max=len(edges) - 1)] == key
+        placed = first[(w[first] != src[first]) & ~taken]
+        v[pending[placed]] = w[placed]
+        pending = np.delete(pending, placed)
+    return Graph.from_edges(n, np.stack((u, v), axis=1))
 
 
 # P(r) = r^2 (_P2 + r (_P3 + r _P4)) for r <= 1 (see _edge_probability): the

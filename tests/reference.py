@@ -4,20 +4,21 @@ These are the straightforward loops the package replaced with faster code,
 kept here as ground truth: per-node neighbourhood extraction, per-node
 triangle counting, sorted neighbor lists from pairs, node relabeling, a
 brute-force isomorphism oracle, the Monte Carlo soft-RGG radius
-calibration, and the density of the distance between two uniform points in
-the unit square.
+calibration, the density of the distance between two uniform points in
+the unit square, and the edge-by-edge Watts-Strogatz rewiring loop.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 from netuniq.graph import Graph
-from netuniq.models import rng_from
+from netuniq.models import ModelSpec, lattice_degree, rng_from
 
 
 def neighborhood_edge_sets(g: Graph) -> Iterator[tuple[int, list[tuple[int, int]]]]:
@@ -235,3 +236,39 @@ def monte_carlo_radius(n: int, avg_degree: float) -> float:
             hi = mid
         r = 0.5 * (lo + hi)
     return r
+
+
+def gen_ws_sequential(spec: ModelSpec) -> Graph:
+    """Watts-Strogatz by one rewiring decision per lattice edge, in order.
+
+    The generator :func:`netuniq.models.gen_ws` replaced: j-major over the
+    lattice edges (u, u + j mod n), one draw per edge, and for a rewired
+    edge scalar redraws until the target is neither u nor a neighbor of u.
+    A source with n - 1 neighbors keeps its edge. One set per node.
+    """
+    n = spec.n
+    K = lattice_degree(spec.avg_degree)
+    beta = float(spec.beta if spec.beta is not None else 0.0)
+    rng = rng_from(spec.seed, "ws", n, float(spec.avg_degree), beta)
+
+    adj = [{(u + j) % n for j in range(-(K // 2), K // 2 + 1) if j} for u in range(n)]
+
+    if beta > 0.0:
+        for j in range(1, K // 2 + 1):
+            for u in range(n):
+                if rng.random() >= beta:
+                    continue
+                if len(adj[u]) >= n - 1:
+                    continue
+                w = int(rng.integers(0, n))
+                while w == u or w in adj[u]:
+                    w = int(rng.integers(0, n))
+                v = (u + j) % n
+                adj[u].discard(v)
+                adj[v].discard(u)
+                adj[u].add(w)
+                adj[w].add(u)
+
+    deg = [len(s) for s in adj]
+    ends = np.fromiter(chain.from_iterable(adj), np.int64, sum(deg))
+    return Graph.from_edges(n, np.stack((np.repeat(np.arange(n), deg), ends), axis=1))

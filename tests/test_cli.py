@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -244,6 +245,12 @@ class TestBoundaryCommand:
             assert main(argv + ["--jobs", jobs, "--out", str(tmp_path / jobs)]) == 0
         assert read(tmp_path / "1" / "boundary_points.json") == read(
             tmp_path / "2" / "boundary_points.json")
+
+    def test_worker_pools_end_with_the_command(self, tmp_path):
+        argv = ["boundary", "--model", "rgg", "--n-grid", "150", "--k-lo", "1", "--k-hi", "30",
+                "--seed", "1", "--jobs", "2", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert multiprocessing.active_children() == []
 
 
 def _ramp_search(crossings, calls):

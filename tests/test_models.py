@@ -24,11 +24,14 @@ from netuniq.models import (
     gen_rgg,
     gen_ws,
     generate,
+    rng_from,
 )
+from netuniq.uniqueness import neighborhood_uniqueness
 
 from reference import (
     calibration_clouds,
     cloud_degrees,
+    gen_ws_sequential,
     monte_carlo_radius,
     square_distance_density,
 )
@@ -86,7 +89,7 @@ class TestDeterminism:
             ),
             (
                 ModelSpec("ws", 3000, 12.0, seed=9, beta=0.3),
-                "26b5efbfeafba3d40e1b2ddbc3d1647ea33cb174bfa2fed1354ebcf131032aa6",
+                "2869c8a2aa0357eb4b3b4371cd7dd1ea0067c101d94f8d732127ca63c8628bd2",
             ),
             (
                 ModelSpec("rgg", 2000, 30.0, seed=9),
@@ -104,6 +107,13 @@ class TestDeterminism:
         a = generate(ModelSpec("er", 300, 6.0, seed=1))
         b = generate(ModelSpec("er", 300, 6.0, seed=2))
         assert edge_text(a) != edge_text(b)
+
+    @pytest.mark.parametrize("a,b", [(0, 5), (1, 1), (7, 1000), (4096, 3)])
+    def test_split_draws_continue_one_stream(self, a, b):
+        # a generator may take its uniforms in blocks without changing them
+        rng = rng_from(9, "rgg", 2000, 30.0)
+        split = np.concatenate((rng.random(a), rng.random(b)))
+        np.testing.assert_array_equal(split, rng_from(9, "rgg", 2000, 30.0).random(a + b))
 
 
 class TestErdosRenyi:
@@ -180,6 +190,17 @@ class TestWattsStrogatz:
         with pytest.raises(ValueError):
             gen_ws(ModelSpec("ws", 6, 5.9, seed=0, beta=0.0))
 
+    # near-complete lattices: a rewired edge that gave up its lattice pair
+    # before it was placed could find every pair of its source taken, and
+    # redraws for a source with n - 1 neighbours would never end. At
+    # K = n - 1, n K / 2 edges is the complete graph.
+    @pytest.mark.parametrize("n,K", [(3, 2), (5, 4), (11, 10), (12, 10), (21, 18), (40, 30)])
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_saturated_lattices_keep_every_edge(self, n, K, beta):
+        for seed in range(50):
+            g = gen_ws(ModelSpec("ws", n, float(K), seed=seed, beta=beta))
+            assert g.m == n * K // 2, seed
+
     def test_full_rewiring_clusters_like_er(self):
         # beta=1 keeps each node's outgoing stub count, so it is not literally
         # G(n, p); clustering still collapses to the random-graph level.
@@ -203,6 +224,55 @@ class TestWattsStrogatz:
         assert abs(ws.mean() - er.mean()) <= margin
         lattice_c = summary_stats(gen_ws(ModelSpec("ws", n, k, seed=0, beta=0.0))).clustering
         assert ws.mean() < 0.1 * lattice_c
+
+
+def lattice_pairs(n, K):
+    return {
+        (min(u, (u + j) % n), max(u, (u + j) % n))
+        for u in range(n)
+        for j in range(1, K // 2 + 1)
+    }
+
+
+class TestWattsStrogatzReference:
+    """The rewiring rounds against the edge-by-edge loop they replaced."""
+
+    N, SEEDS = 500, 40
+
+    def test_reference_is_the_former_generator(self):
+        # the digest that gen_ws gave before its rounds
+        text = edge_text(gen_ws_sequential(ModelSpec("ws", 3000, 12.0, seed=9, beta=0.3)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "26b5efbfeafba3d40e1b2ddbc3d1647ea33cb174bfa2fed1354ebcf131032aa6"
+        )
+
+    @pytest.mark.parametrize("K", [10, 12, 16])
+    def test_zero_beta_is_the_lattice(self, K):
+        for make in (gen_ws, gen_ws_sequential):
+            g = make(ModelSpec("ws", self.N, float(K), seed=3, beta=0.0))
+            assert set(g.edges()) == lattice_pairs(self.N, K)
+
+    @pytest.mark.parametrize("K", [10, 12, 16])
+    @pytest.mark.parametrize("beta", [0.2, 0.5])
+    def test_same_law_as_the_loop(self, K, beta):
+        n, m = self.N, self.N * K // 2
+        lattice = lattice_pairs(n, K)
+        sd = math.sqrt(m * beta * (1.0 - beta))
+        stats_of = {}
+        for make in (gen_ws, gen_ws_sequential):
+            values = []
+            for seed in range(self.SEEDS):
+                g = make(ModelSpec("ws", n, float(K), seed=seed, beta=beta))
+                # no self-loop or duplicate: from_edges would drop it and lose an edge
+                assert g.m == m
+                moved = m - len(lattice & set(g.edges()))
+                assert abs(moved - beta * m) <= 6.0 * sd, (make.__name__, seed, moved)
+                values.append((neighborhood_uniqueness(g), summary_stats(g).clustering))
+            stats_of[make] = np.array(values)
+        new, old = stats_of[gen_ws], stats_of[gen_ws_sequential]
+        se = np.sqrt(new.var(axis=0, ddof=1) / self.SEEDS + old.var(axis=0, ddof=1) / self.SEEDS)
+        assert np.all(np.abs(new.mean(axis=0) - old.mean(axis=0)) <= 4.0 * se), (
+            new.mean(axis=0), old.mean(axis=0), se)
 
 
 class TestRandomGeometric:
