@@ -44,8 +44,8 @@ from .sampling import (
     sample_edges,
     sampling_report,
 )
-from .sweep import SearchConfig, boundary_search, fit_boundary_line, uniqueness_map
-from .sweep import WARM_FACTOR, BracketingError, warm_config
+from .sweep import WARM_FACTOR, SearchConfig, boundary_curve, boundary_search
+from .sweep import fit_boundary_line, uniqueness_map
 from .uniqueness import uniqueness_report
 
 _ANALYSIS_CSV = (
@@ -58,17 +58,8 @@ _ANALYSIS_CSV = (
     "nonempty_fraction",
 )
 
-# boundary option -> SearchConfig field
-_SEARCH_OPTIONS = {
-    "k_lo": "k_lo",
-    "k_hi": "k_hi",
-    "target": "target",
-    "tol": "tolerance",
-    "max_sims": "max_sims",
-    "batch": "batch_size",
-    "confidence": "confidence",
-    "min_width": "min_width",
-}
+# the boundary options are SearchConfig's fields, in field order; these two are shorter
+_SEARCH_ALIASES = {"tolerance": "tol", "batch_size": "batch"}
 
 _HELP = dict.fromkeys(("k_lo", "k_hi"), "bracket end for the first size; later sizes first search "
                       f"[k*/{WARM_FACTOR:g}, {WARM_FACTOR:g}k*] around the previous size's k*")
@@ -220,17 +211,14 @@ def _cmd_map(p: dict) -> dict:
 
 
 def _cmd_boundary(p: dict) -> dict:
-    config = SearchConfig(**{f: p[opt] for opt, f in _SEARCH_OPTIONS.items()})
-    points, warm = [], None
-    for n in _parse_grid(p["n_grid"], integer=True):
-        try:
-            result = warm and boundary_search(p["model"], n, warm, p["seed"], p["beta"], p["jobs"])
-        except BracketingError:
-            result = None
-        if result is None:
-            result = boundary_search(p["model"], n, config, p["seed"], p["beta"], p["jobs"])
-        warm = warm_config(config, result.k_star)
-        points.append({"n": n, "total_sims": result.total_sims, **asdict(result)})
+    names = [f.name for f in fields(SearchConfig)]
+    config = SearchConfig(**{f: p[_SEARCH_ALIASES.get(f, f)] for f in names})
+    n_grid = _parse_grid(p["n_grid"], integer=True)
+    curve = boundary_curve(
+        lambda n, c: boundary_search(p["model"], n, c, p["seed"], p["beta"], p["jobs"]),
+        n_grid, config,
+    )
+    points = [{"n": n, "total_sims": r.total_sims, **asdict(r)} for n, r in zip(n_grid, curve)]
     rows = [(pt["n"], pt["k_star"], pt["total_sims"]) for pt in points]
     artifacts = {
         "boundary.csv": _csv(("n", "k_star", "evaluations"), rows),
@@ -238,12 +226,8 @@ def _cmd_boundary(p: dict) -> dict:
     }
     if len(points) >= 3:
         fit = fit_boundary_line([(n, k_star) for n, k_star, _ in rows])
-        artifacts["fit.json"] = {
-            "m": fit.slope,
-            "c": fit.intercept,
-            "residuals": fit.residuals,
-            "rmse": fit.rmse,
-        }
+        artifacts["fit.json"] = {"m": fit.slope, "c": fit.intercept, "residuals": fit.residuals,
+                                 "rmse": fit.rmse}
     return artifacts
 
 
@@ -325,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
         "seed",
         "jobs",
     )
-    search = SearchConfig()
     add(
         "boundary",
         _cmd_boundary,
@@ -333,8 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         "beta",
         ("n_grid", "1000", {"help": "sizes to search, e.g. 1000,5000,10000"}),
         *[
-            (opt, getattr(search, f), {"type": type(getattr(search, f)), "help": _HELP.get(opt)})
-            for opt, f in _SEARCH_OPTIONS.items()
+            (_SEARCH_ALIASES.get(f.name, f.name), f.default,
+             {"type": type(f.default), "help": _HELP.get(f.name)})
+            for f in fields(SearchConfig)
         ],
         "seed",
         "jobs",

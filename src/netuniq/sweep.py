@@ -10,8 +10,8 @@ the target, or the simulation budget runs out. The endpoints only decide
 whether the bracket straddles the target; an interior probe halves the
 bracket, or ends the search within tolerance or at the budget.
 
-A curve's first size searches the configured bracket, each later size the
-:func:`warm_config` bracket first, so its k* depends on the sizes before it.
+:func:`boundary_curve` searches each size after the first around the
+previous k* first, so a curve's k* depend on the sizes before them.
 
 All replicate seeds are substreams of the master seed hashed together with
 the size, the mean degree the model builds and the replicate index, so
@@ -129,6 +129,8 @@ def model_sampler(
     computed and returns it again when asked, so a replicate is generated
     and certified once per sampler.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     values: dict[tuple[float, int], float] = {}
 
     def sample(avg_degree: float, count: int, offset: int) -> list[float]:
@@ -262,10 +264,24 @@ def boundary_search(
     return boundary_search_fn(model_sampler(family, n, seed, beta, jobs), config)
 
 
-def warm_config(config: SearchConfig, k_star: float) -> SearchConfig | None:
-    """``config`` with its bracket clipped to [k*/WARM_FACTOR, WARM_FACTOR k*], or None if empty."""
-    k_lo, k_hi = max(config.k_lo, k_star / WARM_FACTOR), min(config.k_hi, k_star * WARM_FACTOR)
-    return replace(config, k_lo=k_lo, k_hi=k_hi) if k_lo < k_hi else None
+def boundary_curve(search: Callable[[int, SearchConfig], SearchResult], n_grid: Sequence[int],
+                   config: SearchConfig) -> list[SearchResult]:
+    """``search(n, bracket)`` for each size in order: the first on ``config``, each later one
+    first on [k*/WARM_FACTOR, WARM_FACTOR k*] around the previous k*, clipped to ``config``,
+    and on ``config`` if that clip is empty or raises :class:`BracketingError`."""
+    results: list[SearchResult] = []
+    for n in n_grid:
+        result = None
+        if results:
+            k_lo = max(config.k_lo, results[-1].k_star / WARM_FACTOR)
+            k_hi = min(config.k_hi, results[-1].k_star * WARM_FACTOR)
+            if k_lo < k_hi:
+                try:
+                    result = search(n, replace(config, k_lo=k_lo, k_hi=k_hi))
+                except BracketingError:
+                    pass
+        results.append(result or search(n, config))
+    return results
 
 
 @dataclass(frozen=True)

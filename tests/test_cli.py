@@ -183,6 +183,12 @@ class TestMapCommand:
         maps = {read(tmp_path / name / "map.csv") for name in runs}
         assert len(maps) == 1
 
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys):
+        assert main(["map", "--model", "er", "--n-grid", "60", "--k-grid", "4", "--reps", "3",
+                     "--seed", "1", "--jobs", "-4", "--out", str(tmp_path / "m")]) == 1
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+        assert not (tmp_path / "m").exists()
+
 
 class TestBoundaryCommand:
     def test_csv_and_fit(self, tmp_path):
@@ -246,11 +252,19 @@ class TestBoundaryCommand:
         assert read(tmp_path / "1" / "boundary_points.json") == read(
             tmp_path / "2" / "boundary_points.json")
 
-    def test_worker_pools_end_with_the_command(self, tmp_path):
-        argv = ["boundary", "--model", "rgg", "--n-grid", "150", "--k-lo", "1", "--k-hi", "30",
-                "--seed", "1", "--jobs", "2", "--out", str(tmp_path)]
-        assert main(argv) == 0
+    @pytest.mark.parametrize("argv", [
+        ["boundary", "--model", "rgg", "--n-grid", "150", "--k-lo", "1", "--k-hi", "30"],
+        ["map", "--model", "er", "--n-grid", "60", "--k-grid", "4,8", "--reps", "3"],
+    ], ids=["boundary", "map"])
+    def test_worker_pools_end_with_the_command(self, argv, tmp_path):
+        assert main(argv + ["--seed", "1", "--jobs", "2", "--out", str(tmp_path)]) == 0
         assert multiprocessing.active_children() == []
+
+    def test_jobs_below_one_exits_1(self, tmp_path, capsys):
+        assert main(["boundary", "--model", "er", "--n-grid", "150,175", "--k-lo", "2", "--k-hi",
+                     "30", "--seed", "1", "--jobs", "0", "--out", str(tmp_path / "b")]) == 1
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+        assert not (tmp_path / "b").exists()
 
 
 def _ramp_search(crossings, calls):

@@ -1,6 +1,7 @@
 """Uniqueness maps, the stochastic binary search, and boundary fits."""
 
 import math
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -15,12 +16,13 @@ from netuniq.models import ModelSpec, generate, rng_from, substream_seed
 from netuniq.sweep import (
     BracketingError,
     SearchConfig,
+    SearchResult,
+    boundary_curve,
     boundary_search,
     boundary_search_fn,
     fit_boundary_line,
     model_sampler,
     uniqueness_map,
-    warm_config,
 )
 from netuniq.uniqueness import neighborhood_uniqueness
 
@@ -137,6 +139,11 @@ class TestModelSampler:
         # k=10.5 exceeds n - 1 although its lattice degree 10 would fit
         with pytest.raises(ValueError):
             model_sampler("ws", 11, 1, 0.5)(10.5, 2, 0)
+
+    @pytest.mark.parametrize("jobs", [0, -4])
+    def test_jobs_below_one_raises(self, jobs):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            model_sampler("er", 60, 1, jobs=jobs)
 
 
 class TestUniquenessMap:
@@ -266,18 +273,6 @@ class TestBoundarySearch:
             with pytest.raises(BracketingError, match=f"{lo:.4f} at k_lo, {hi:.4f} at k_hi"):
                 boundary_search_fn(sample, SearchConfig(k_lo=1.0, k_hi=10.0))
 
-    def test_warm_config_brackets_the_previous_k_star(self):
-        config = SearchConfig(k_lo=2.0, k_hi=30.0)
-        warm = warm_config(config, 16.0)
-        assert (warm.k_lo, warm.k_hi) == (pytest.approx(16.0 / 1.5), 24.0)
-        assert warm.target == config.target and warm.min_width == config.min_width
-        # clipped to the configured bracket
-        assert (warm_config(config, 25.0).k_lo, warm_config(config, 25.0).k_hi) == (
-            pytest.approx(25.0 / 1.5), 30.0)
-        # nothing left of the bracket once clipped
-        for k_star in (0.0, 1.0, 60.0):
-            assert warm_config(config, k_star) is None
-
     def test_er_matches_dense_sweep(self):
         # independent oracle: locate the crossing on a fine fixed grid
         n, seed = 1000, 314
@@ -298,6 +293,87 @@ class TestBoundarySearch:
         k_small = boundary_search("rgg", 500, cfg, seed=21).k_star
         k_large = boundary_search("rgg", 2000, cfg, seed=21).k_star
         assert abs(k_small - k_large) <= 3.0
+
+
+class TestBoundaryCurve:
+    CONFIG = SearchConfig(k_lo=2.0, k_hi=30.0)
+
+    @staticmethod
+    def recording_search(k_stars, calls, strict=True):
+        """``search(n, config)`` whose k* at size n is ``k_stars[n]``. It records
+        each (n, config) and, if ``strict``, raises BracketingError when k*
+        lies outside the bracket, as a search over a rising sampler would."""
+
+        def search(n, config):
+            calls.append((n, config))
+            if strict and not config.k_lo < k_stars[n] < config.k_hi:
+                raise BracketingError(f"{k_stars[n]} outside [{config.k_lo}, {config.k_hi}]")
+            return SearchResult(k_stars[n], "tolerance")
+
+        return search
+
+    def test_first_size_searches_the_configured_bracket(self):
+        calls = []
+        (result,) = boundary_curve(self.recording_search({150: 16.0}, calls), [150], self.CONFIG)
+        assert calls == [(150, self.CONFIG)]
+        assert result == SearchResult(16.0, "tolerance")
+
+    @pytest.mark.parametrize("k_star, warm", [
+        (16.0, (16.0 / 1.5, 24.0)),
+        (25.0, (25.0 / 1.5, 30.0)),  # clipped to the configured bracket
+    ], ids=["inside", "clipped"])
+    def test_later_size_searches_around_the_previous_k_star(self, k_star, warm):
+        calls = []
+        search = self.recording_search({150: k_star, 175: 20.0, 200: 21.0}, calls)
+        curve = boundary_curve(search, [150, 175, 200], self.CONFIG)
+        assert [r.k_star for r in curve] == [k_star, 20.0, 21.0]
+        # only the bracket changes: target, tolerance, budget and floor are the configured ones
+        k_lo, k_hi = warm
+        assert calls == [
+            (150, self.CONFIG),
+            (175, replace(self.CONFIG, k_lo=k_lo, k_hi=k_hi)),
+            (200, replace(self.CONFIG, k_lo=20.0 / 1.5, k_hi=30.0)),
+        ]
+
+    def test_warm_bracketing_error_retries_the_configured_bracket_once(self):
+        calls = []
+        search = self.recording_search({150: 16.0, 175: 5.0}, calls)
+        curve = boundary_curve(search, [150, 175], self.CONFIG)
+        assert [r.k_star for r in curve] == [16.0, 5.0]
+        assert [(n, c.k_lo, c.k_hi) for n, c in calls] == [
+            (150, 2.0, 30.0), (175, 16.0 / 1.5, 24.0), (175, 2.0, 30.0)]
+
+    @pytest.mark.parametrize("k_stars, searched", [
+        ({150: 50.0}, [150]),
+        ({150: 16.0, 175: 50.0}, [150, 175, 175]),
+    ], ids=["first-size", "later-size"])
+    def test_configured_bracket_error_propagates(self, k_stars, searched):
+        calls = []
+        with pytest.raises(BracketingError, match="50.0 outside"):
+            boundary_curve(self.recording_search(k_stars, calls), list(k_stars), self.CONFIG)
+        assert [n for n, _ in calls] == searched
+
+    def test_other_warm_errors_propagate(self):
+        # only BracketingError falls back; another ValueError is the caller's to see
+        calls = []
+
+        def search(n, config):
+            calls.append(n)
+            if len(calls) > 1:
+                raise ValueError("infeasible degree")
+            return SearchResult(16.0, "tolerance")
+
+        with pytest.raises(ValueError, match="infeasible degree"):
+            boundary_curve(search, [150, 175], self.CONFIG)
+        assert calls == [150, 175]
+
+    @pytest.mark.parametrize("k_star", [0.0, 1.0, 60.0])
+    def test_nothing_left_after_clipping_searches_the_configured_bracket(self, k_star):
+        # 0 and 1 put the warm bracket below k_lo = 2, 60 puts it above k_hi = 30
+        calls = []
+        search = self.recording_search({150: k_star, 175: 16.0}, calls, strict=False)
+        boundary_curve(search, [150, 175], self.CONFIG)
+        assert calls == [(150, self.CONFIG), (175, self.CONFIG)]
 
 
 class TestBoundaryFit:
