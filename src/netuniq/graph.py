@@ -97,19 +97,8 @@ class Graph:
     def m(self) -> int:
         return len(self.indices) // 2
 
-    def degree(self, v: int) -> int:
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def degrees(self) -> list[int]:
         return np.diff(self.indptr).tolist()
-
-    def neighbors(self, v: int) -> list[int]:
-        return self.indices[self.indptr[v] : self.indptr[v + 1]].tolist()
-
-    def has_edge(self, u: int, v: int) -> bool:
-        lo, hi = self.indptr[u], self.indptr[u + 1]
-        i = lo + np.searchsorted(self.indices[lo:hi], v)
-        return bool(i < hi and self.indices[i] == v)
 
     def edge_array(self) -> np.ndarray:
         """Each edge once as a row (u, v), u < v, in sorted order: an (m, 2) array."""
@@ -187,12 +176,16 @@ def neighborhood(g: Graph, v: int) -> Graph:
     """Induced subgraph on the neighbors of ``v`` (``v`` itself excluded).
 
     The k neighbors are relabeled ``0..k-1`` in increasing original index.
+    Only CSR rows are read, never the triangle listing, so this extraction
+    stays independent of :func:`neighborhood_edge_sets`.
     """
     if not (0 <= v < g.n):
         raise IndexError(f"node {v} out of range for n={g.n}")
-    nbrs = g.neighbors(v)
+    indptr, indices = g.indptr, g.indices
+    nbrs = indices[indptr[v] : indptr[v + 1]].tolist()
     pos = {u: i for i, u in enumerate(nbrs)}
-    edges = [(i, pos[w]) for i, u in enumerate(nbrs) for w in g.neighbors(u) if w in pos]
+    rows = (indices[indptr[u] : indptr[u + 1]].tolist() for u in nbrs)
+    edges = [(i, pos[w]) for i, row in enumerate(rows) for w in row if w in pos]
     return Graph.from_edges(len(nbrs), edges)
 
 

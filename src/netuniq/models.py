@@ -4,8 +4,7 @@ Three families: Erdos-Renyi (independent edges), Watts-Strogatz (ring
 lattice with rewiring), and a soft random geometric graph (points in the
 unit square, distance cutoff with exponential acceptance). Watts-Strogatz
 rewires in vectorized rounds that hold a pending edge's lattice pair and
-skip sources with n - 1 neighbours, which changed ws edge lists at fixed
-seeds (er and rgg ones did not). The geometric graph's radius solves
+skip sources with n - 1 neighbours. The geometric graph's radius solves
 (n - 1) P(r) = k for the exact edge probability P, integrated against the
 density of the distance between two uniform points in the unit square
 (Philip 2007), so it needs no simulation and no cache.

@@ -28,7 +28,7 @@ def neighborhood_edge_sets(g: Graph) -> Iterator[tuple[int, list[tuple[int, int]
     because neighbor lists are sorted.
     """
     n = g.n
-    adj = [g.neighbors(v) for v in range(n)]
+    adj = neighbor_lists(n, g.edges())
     pos = [-1] * n  # scratch: local index of each vertex in the current neighborhood
     for v in range(n):
         nbrs = adj[v]
@@ -52,7 +52,7 @@ def neighborhood_edge_sets(g: Graph) -> Iterator[tuple[int, list[tuple[int, int]
 def triangles_per_node(g: Graph) -> list[int]:
     """Triangles through each node; each triangle {a < b < c} found at (a, b)."""
     counts = [0] * g.n
-    adj = [g.neighbors(v) for v in range(g.n)]
+    adj = neighbor_lists(g.n, g.edges())
     adj_sets = [set(nbrs) for nbrs in adj]
     for u, v in g.edges():
         a, b = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
@@ -103,8 +103,8 @@ def are_isomorphic_oracle(g1: Graph, g2: Graph, max_nodes: int = 10) -> bool:
         return True
 
     order = _bfs_order(g1)
-    adj1 = [set(g1.neighbors(v)) for v in range(n)]
-    adj2 = [set(g2.neighbors(v)) for v in range(n)]
+    adj1 = [set(nbrs) for nbrs in neighbor_lists(n, g1.edges())]
+    adj2 = [set(nbrs) for nbrs in neighbor_lists(n, g2.edges())]
     mapping = [-1] * n
     used = [False] * n
 
@@ -136,9 +136,11 @@ def are_isomorphic_oracle(g1: Graph, g2: Graph, max_nodes: int = 10) -> bool:
 def _bfs_order(g: Graph) -> list[int]:
     # visiting neighbors of already-placed vertices first tightens pruning
     n = g.n
+    deg = g.degrees()
+    adj = neighbor_lists(n, g.edges())
     seen = [False] * n
     order: list[int] = []
-    by_degree = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    by_degree = sorted(range(n), key=lambda v: (-deg[v], v))
     for root in by_degree:
         if seen[root]:
             continue
@@ -147,7 +149,7 @@ def _bfs_order(g: Graph) -> list[int]:
         while queue:
             u = queue.pop(0)
             order.append(u)
-            for w in sorted(g.neighbors(u), key=lambda x: (-g.degree(x), x)):
+            for w in sorted(adj[u], key=lambda x: (-deg[x], x)):
                 if not seen[w]:
                     seen[w] = True
                     queue.append(w)

@@ -68,7 +68,7 @@ class TestLoadEdgeList:
     def test_first_appearance_indexing(self):
         g = load_edge_list("x y\ny z")
         assert g.labels == ["x", "y", "z"]
-        assert g.neighbors(1) == [0, 2]
+        assert reference.neighbor_lists(g.n, g.edges())[1] == [0, 2]
 
 
 class TestNeighborhood:
@@ -92,10 +92,36 @@ class TestNeighborhood:
         with pytest.raises(IndexError):
             neighborhood(g, 3)
 
+    @staticmethod
+    def assert_edges_match_reference(g):
+        for v, (size, edges) in enumerate(reference.neighborhood_edge_sets(g)):
+            nb = neighborhood(g, v)
+            assert (nb.n, list(nb.edges())) == (size, edges)
+        # read from the CSR rows alone: the triangle listing was never made
+        assert g._tri is None
+
+    def test_edges_of_fixed_graphs(self):
+        # a hub labelled 0, whose neighbours all see it as their local 0
+        hub = [(0, v) for v in range(1, 8)] + [(1, 2), (2, 3), (1, 3), (4, 7), (5, 6)]
+        self.assert_edges_match_reference(Graph.from_edges(8, hub))
+        # a triangle 1-3-5 and a path 5-7-8 beside isolated nodes 0, 2, 4, 6 and 9
+        path = [(1, 3), (3, 5), (1, 5), (5, 7), (7, 8)]
+        self.assert_edges_match_reference(Graph.from_edges(10, path))
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=12),
+        edge_bits=st.integers(min_value=0, max_value=(1 << 66) - 1),
+    )
+    def test_edges_match_reference(self, n, edge_bits):
+        pairs = list(itertools.combinations(range(n), 2))
+        self.assert_edges_match_reference(
+            Graph.from_edges(n, [pairs[i] for i in range(len(pairs)) if edge_bits >> i & 1])
+        )
+
     def test_size_equals_degree(self):
         g = random_graph(30, 0.2, seed=1)
-        for v in range(g.n):
-            assert neighborhood(g, v).n == g.degree(v)
+        assert [neighborhood(g, v).n for v in range(g.n)] == g.degrees()
 
     def test_label_stable_under_relabeling(self):
         # per-node neighborhoods of a permuted graph are isomorphic to the originals
@@ -129,16 +155,16 @@ class TestSummaryStats:
         # independent oracle: count triangles by iterating all vertex triples
         for seed in range(5):
             g = random_graph(40, 0.15, seed=seed)
+            edges = set(g.edges())
             tri = [0] * g.n
             for a, b, c in itertools.combinations(range(g.n), 3):
-                if g.has_edge(a, b) and g.has_edge(a, c) and g.has_edge(b, c):
+                if (a, b) in edges and (a, c) in edges and (b, c) in edges:
                     tri[a] += 1
                     tri[b] += 1
                     tri[c] += 1
             assert triangles_per_node(g) == tri
             expect = 0.0
-            for v in range(g.n):
-                k = g.degree(v)
+            for v, k in enumerate(g.degrees()):
                 if k >= 2:
                     expect += 2 * tri[v] / (k * (k - 1))
             assert summary_stats(g).clustering == pytest.approx(expect / g.n)
@@ -164,14 +190,14 @@ class TestFromEdges:
         pairs = [(u % n, v % n) for u, v in raw]
         g = Graph.from_edges(n, pairs)
         expect = reference.neighbor_lists(n, pairs)
-        assert [g.neighbors(v) for v in range(n)] == expect
+        assert [row.tolist() for row in np.split(g.indices, g.indptr[1:-1])] == expect
         assert g.m == sum(map(len, expect)) // 2
         assert list(g.edges()) == [(u, v) for u in range(n) for v in expect[u] if v > u]
 
     def test_generator_input(self):
         g = Graph.from_edges(5, ((v, v + 1) for v in range(4)))
         assert list(g.edges()) == [(0, 1), (1, 2), (2, 3), (3, 4)]
-        assert [g.degree(v) for v in range(5)] == [1, 2, 2, 2, 1]
+        assert g.degrees() == [1, 2, 2, 2, 1]
 
     @pytest.mark.parametrize("edges", [[(7, 7), (0, 1)], [(0, 1), (0, 3)], [(-1, 2)]])
     def test_out_of_range_raises(self, edges):
@@ -200,8 +226,7 @@ def test_clustering_summed_left_to_right():
     g = generate(ModelSpec("rgg", 1000, 12.0, 3))
     tri = triangles_per_node(g)
     total = 0.0
-    for v in range(g.n):
-        k = g.degree(v)
+    for v, k in enumerate(g.degrees()):
         if k >= 2:
             total += 2.0 * tri[v] / (k * (k - 1))
     assert summary_stats(g).clustering == total / g.n
@@ -221,10 +246,8 @@ def assert_matches_reference(g):
 
 def forward_wedges(g):
     # wedges the kernel tests: pairs of higher-indexed neighbors of each node
-    return sum(
-        len(f) * (len(f) - 1) // 2
-        for f in ([w for w in g.neighbors(v) if w > v] for v in range(g.n))
-    )
+    forward = np.bincount(g.edge_array()[:, 0], minlength=g.n)
+    return int((forward * (forward - 1) // 2).sum())
 
 
 class TestTriangleKernel:
